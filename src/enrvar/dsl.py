@@ -30,8 +30,6 @@ from .relcore import (
     StructureError,
     builtin_theory,
     heyting_chain,
-    qcat_lattice,
-    simp_bound,
     terminal,
 )
 from .syntax import (
@@ -265,16 +263,17 @@ class _Parser:
         word = self.ident("base theory name")
         if word in ("set", "preord", "pos"):
             return builtin_theory(word)
-        if word == "simp":
+        if word in ("simp", "qchain"):
             self.expect("LPAREN")
+            ntok = self.peek()
             n = self.int_lit()
             self.expect("RPAREN")
-            return builtin_theory("simp", n=n)
-        if word == "qchain":
-            self.expect("LPAREN")
-            n = self.int_lit()
-            self.expect("RPAREN")
-            return builtin_theory("qcat", q=heyting_chain(n))
+            try:
+                if word == "simp":
+                    return builtin_theory("simp", n=n)
+                return builtin_theory("qcat", q=heyting_chain(n))
+            except StructureError as e:
+                self.fail(str(e), ntok)
         if word == "qcat":
             return builtin_theory("qcat", q=self.parse_lattice())
         self.fail(f"unknown base theory {word!r}", t)
@@ -715,19 +714,28 @@ class _Parser:
                 while self.peek().kind == "IDENT" and self.keyword() not in (
                     "base", "sort", "arity", "object", "unit", "ext",
                 ):
+                    if self.keyword() in sorts:
+                        self.fail(f"sort {self.keyword()!r} is declared twice")
                     sorts.append(self.ident())
             elif word == "arity":
+                if not sorts:
+                    self.fail("an arity clause needs a preceding sort clause", tok)
                 aname = self.ident("arity name")
                 self.expect("LBRACE")
                 counts: dict[str, int] = {}
                 while not self.eat_rbrace():
+                    stok = self.peek()
                     s = self.ident("sort")
+                    if s not in sorts:
+                        self.fail(f"arity uses unknown sort {s!r}", stok)
                     self.expect("COLON")
                     counts[s] = self.int_lit()
                     self.skip_separators()
                 arities[aname] = Arity.of(SortSet(tuple(sorts)), counts)
                 arity_order.append(aname)
             elif word == "object":
+                if base is None:
+                    self.fail("an object clause needs a preceding base clause", tok)
                 aname = self.ident("arity name")
                 self.expect("LBRACE")
                 per_sort: dict[str, FinStructure] = {}
@@ -865,10 +873,10 @@ def _fmt_base(base: HornTheory) -> str:
     name = base.name or ""
     if name in ("set", "preord", "pos"):
         return name
-    n = simp_bound(base)
+    n = base.simp_bound
     if n is not None:
         return f"simp({n})"
-    q = qcat_lattice(base)
+    q = base.qcat_lattice
     if q is not None:
         if q == heyting_chain(len(q.elements)):
             return f"qchain({len(q.elements)})"

@@ -15,7 +15,6 @@ from .relcore import (
     RelSignature,
     StructureError,
     is_model,
-    qcat_lattice,
 )
 
 
@@ -103,7 +102,7 @@ def all_structures(
 
 
 def _qcat_models(T: HornTheory, size: int, up_to_iso: bool) -> list[FinStructure]:
-    q = qcat_lattice(T)
+    q = T.qcat_lattice
     assert q is not None
     carrier = default_carrier(size)
     elems = q.elements
@@ -145,7 +144,7 @@ def all_models(
 ) -> list[FinStructure]:
     """All models of T on a carrier of the given size (canonical
     representatives when up_to_iso)."""
-    if qcat_lattice(T) is not None:
+    if T.qcat_lattice is not None:
         return _qcat_models(T, size, up_to_iso)
     return [
         X

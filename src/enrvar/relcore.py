@@ -1,15 +1,15 @@
 """Finite relational Horn theories and their model categories.
 
 Provides finite relational structures, satisfaction of Horn formulas, the
-chase computing free models, finite products, candidate exponentials with
-per-call certification, and deterministic morphism enumeration.  Everything
+chase computing free models, finite products, exponentials certified once
+per argument triple, and deterministic morphism enumeration.  Everything
 is a pure function over immutable values; carriers are ordered tuples and
 all enumeration orders derive from carrier order.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Hashable, Iterable, Mapping, NamedTuple
 
@@ -150,11 +150,16 @@ def reflexivity_formula(rel: str, ar: int) -> HornFormula:
 @dataclass(frozen=True)
 class HornTheory:
     """A relational Horn theory under the syntactic reflexivity discipline:
-    every relation symbol carries an explicit axiom `=> R v ... v`."""
+    every relation symbol carries an explicit axiom `=> R v ... v`.
+
+    builtin_theory records the maximum arity of simp(n) in simp_bound and the
+    lattice of qcat(Q) in qcat_lattice; neither takes part in equality."""
 
     signature: RelSignature
     axioms: tuple[HornFormula, ...]
     name: str | None = None
+    simp_bound: int | None = field(default=None, compare=False)
+    qcat_lattice: HeytingAlgebra | None = field(default=None, compare=False)
 
     def __post_init__(self):
         arity = self.signature.arity
@@ -184,15 +189,19 @@ def _same_signature(*objs) -> RelSignature:
     return next(iter(sigs))
 
 
-def is_pi_morphism(f: Mapping, X: FinStructure, Y: FinStructure) -> bool:
-    """True iff f maps the carrier of X into Y and every edge to an edge."""
-    _same_signature(X, Y)
+def _check_total(f: Mapping, domain: Iterable, Y: FinStructure) -> None:
     ytargets = set(Y.carrier)
-    for x in X.carrier:
+    for x in domain:
         if x not in f:
             raise StructureError(f"map is not total: {x!r} unassigned")
         if f[x] not in ytargets:
             raise StructureError(f"map sends {x!r} outside the target carrier")
+
+
+def is_pi_morphism(f: Mapping, X: FinStructure, Y: FinStructure) -> bool:
+    """True iff f maps the carrier of X into Y and every edge to an edge."""
+    _same_signature(X, Y)
+    _check_total(f, X.carrier, Y)
     yedges = Y.edges
     for rel, tup in X.edges:
         if (rel, tuple(f[x] for x in tup)) not in yedges:
@@ -534,8 +543,26 @@ def apply_exp(felem: tuple, x, X: FinStructure):
 
 
 @lru_cache(maxsize=4096)
-def _exponential_checked(X: FinStructure, Y: FinStructure, T: HornTheory) -> FinStructure:
-    E = _exponential_raw(X, Y)
+def exponential(X: FinStructure, Y: FinStructure, T: HornTheory) -> FinStructure:
+    """The certified exponential [X, Y] of two T-models, built once per
+    (X, Y, T) and cached: carrier is the hom-set (image tuples in enumeration
+    order), edges by the preservation condition (exp_edge_holds).
+
+    The currying bijection against the product holds for this construction at
+    the structure level by componentwise bookkeeping, so certification reduces
+    to the model check on [X, Y]; failures raise NotClosed.
+    """
+    sig = _same_signature(X, Y, T)
+    if not is_model(X, T) or not is_model(Y, T):
+        raise StructureError("exponential arguments must be models of the theory")
+    carrier = tuple(as_image_tuple(m, X) for m in enumerate_morphisms(X, Y))
+    edges = frozenset(
+        (rel, fs)
+        for rel, ar in sig.symbols
+        for fs in itertools.product(carrier, repeat=ar)
+        if exp_edge_holds(X, Y, rel, fs)
+    )
+    E = FinStructure(sig, carrier, edges)
     if not is_model(E, T):
         raise NotClosed(
             "candidate exponential is not a model of the theory; "
@@ -544,49 +571,27 @@ def _exponential_checked(X: FinStructure, Y: FinStructure, T: HornTheory) -> Fin
     return E
 
 
-def _exponential_raw(X: FinStructure, Y: FinStructure) -> FinStructure:
-    sig = _same_signature(X, Y)
-    carrier = tuple(as_image_tuple(m, X) for m in enumerate_morphisms(X, Y))
-    edges: set = set()
-    idx = X.index
-    yedges = Y.edges
-    for rel, ar in sig.symbols:
-        xedges = [tuple(idx[x] for x in tup) for tup in X.edges_by_rel[rel]]
-        for fs in itertools.product(carrier, repeat=ar):
-            if all(
-                (rel, tuple(f[i] for f, i in zip(fs, positions))) in yedges
-                for positions in xedges
-            ):
-                edges.add((rel, fs))
-    return FinStructure(sig, carrier, frozenset(edges))
-
-
-def exponential(X: FinStructure, Y: FinStructure, T: HornTheory, check: bool = True) -> FinStructure:
-    """Candidate exponential [X, Y]: carrier is the hom-set (image tuples in
-    enumeration order), edges by the preservation condition.
-
-    The currying bijection against the product holds for this construction at
-    the structure level by componentwise bookkeeping (curry and uncurry below
-    re-certify their outputs), so certification reduces to the model check;
-    failures raise NotClosed.
-    """
-    _same_signature(X, Y, T)
-    if check:
-        if not is_model(X, T) or not is_model(Y, T):
-            raise StructureError("exponential arguments must be models of the theory")
-        return _exponential_checked(X, Y, T)
-    return _exponential_raw(X, Y)
-
-
 def evaluation_table(E: FinStructure, X: FinStructure) -> dict:
     """eval : [X,Y] x X -> Y as a table on the product carrier."""
     return {(f, x): f[X.index[x]] for f in E.carrier for x in X.carrier}
 
 
+def _is_pair_morphism(f: Mapping, Z: FinStructure, X: FinStructure, Y: FinStructure) -> bool:
+    """is_pi_morphism(f, product([Z, X]), Y), tested against the componentwise
+    product edges without building the product."""
+    sig = _same_signature(Z, X, Y)
+    _check_total(f, itertools.product(Z.carrier, X.carrier), Y)
+    yedges = Y.edges
+    return all(
+        (rel, tuple(f[p] for p in zip(zt, xt))) in yedges
+        for rel in sig.names
+        for zt, xt in itertools.product(Z.edges_by_rel[rel], X.edges_by_rel[rel])
+    )
+
+
 def curry(f: Mapping, Z: FinStructure, X: FinStructure, Y: FinStructure, T: HornTheory) -> dict:
     """Transpose a morphism f : Z x X -> Y to g : Z -> [X, Y]."""
-    ZX = product([Z, X])
-    if not is_pi_morphism(f, ZX, Y):
+    if not _is_pair_morphism(f, Z, X, Y):
         raise StructureError("curry: f is not a morphism Z*X -> Y")
     E = exponential(X, Y, T)
     g = {z: tuple(f[(z, x)] for x in X.carrier) for z in Z.carrier}
@@ -603,7 +608,7 @@ def uncurry(g: Mapping, Z: FinStructure, X: FinStructure, Y: FinStructure, T: Ho
         raise StructureError("uncurry: g is not a morphism Z -> [X,Y]")
     idx = X.index
     f = {(z, x): g[z][idx[x]] for z in Z.carrier for x in X.carrier}
-    if not is_pi_morphism(f, product([Z, X]), Y):
+    if not _is_pair_morphism(f, Z, X, Y):
         raise NotClosed("uncurry: transpose fails to be a morphism Z*X -> Y")
     return f
 
@@ -686,18 +691,6 @@ def heyting_chain(n: int) -> HeytingAlgebra:
     return HeytingAlgebra(elems, meet, join, elems[-1])
 
 
-_QCAT_TABLES: dict[HornTheory, HeytingAlgebra] = {}
-_SIMP_BOUNDS: dict[HornTheory, int] = {}
-
-
-def qcat_lattice(T: HornTheory) -> HeytingAlgebra | None:
-    return _QCAT_TABLES.get(T)
-
-
-def simp_bound(T: HornTheory) -> int | None:
-    return _SIMP_BOUNDS.get(T)
-
-
 def builtin_theory(name: str, q: HeytingAlgebra | None = None, n: int | None = None) -> HornTheory:
     """Builtin reflexive Horn theories: set, preord, pos, simp(n), qcat(Q).
 
@@ -745,9 +738,7 @@ def builtin_theory(name: str, q: HeytingAlgebra | None = None, n: int | None = N
                             (f"R{k}", tuple(pvars[i] for i in h)),
                         )
                     )
-        T = HornTheory(sig, tuple(axioms), name=f"simp({n})")
-        _SIMP_BOUNDS[T] = n
-        return T
+        return HornTheory(sig, tuple(axioms), name=f"simp({n})", simp_bound=n)
     if name == "qcat":
         if q is None:
             raise StructureError("qcat needs a Heyting algebra")
@@ -784,9 +775,7 @@ def builtin_theory(name: str, q: HeytingAlgebra | None = None, n: int | None = N
         seen: dict[HornFormula, None] = {}
         for ax in axioms:
             seen.setdefault(ax, None)
-        T = HornTheory(sig, tuple(seen), name=f"qcat[{','.join(elems)}]")
-        _QCAT_TABLES[T] = q
-        return T
+        return HornTheory(sig, tuple(seen), name=f"qcat[{','.join(elems)}]", qcat_lattice=q)
     raise StructureError(f"unknown builtin theory {name!r}")
 
 

@@ -87,6 +87,26 @@ theory broken {
             parse_theory("theory t { base set sort A $ }")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [
+            ("theory t {\n  base simp(0)\n  sort A\n}", 2, 13),
+            ("theory t {\n  base qchain(0)\n  sort A\n}", 2, 15),
+            ("monad m {\n  base set\n  arity J0 { }\n  sort A\n}", 3, 3),
+            ("monad m {\n  base set\n  sort A A\n}", 3, 10),
+            ("monad m {\n  base set\n  sort A\n  arity J { B: 1 }\n}", 4, 13),
+            ("monad m {\n  sort A\n  arity J { A: 1 }\n  object J { }\n  base set\n}", 4, 3),
+        ],
+        ids=[
+            "simp-zero", "qchain-zero", "arity-before-sort", "duplicate-sort",
+            "unknown-sort", "object-before-base",
+        ],
+    )
+    def test_malformed_input_fails_at_the_offending_token(self, text, line, col):
+        with pytest.raises(DslError) as err:
+            parse_theory(text)
+        assert (err.value.line, err.value.col) == (line, col)
+
 
 class TestTranslatedTheoriesRoundTrip:
     def _roundtrip(self, theory, name):

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from enrvar import relcore
 from enrvar.relcore import (
     EQ,
     LE,
@@ -14,6 +15,7 @@ from enrvar.relcore import (
     HornTheory,
     NotClosed,
     RelSignature,
+    SignatureMismatch,
     StructureError,
     builtin_theory,
     chase,
@@ -341,6 +343,49 @@ class TestCurry:
         ev = evaluation_table(E, chain2)
         g = curry(ev, E, chain2, chain2, POS)
         assert g == {f: f for f in E.carrier}
+
+    def test_certification_happens_once(self, monkeypatch, chain2, chain3):
+        exponential.cache_clear()
+        certified = []
+        is_model = relcore.is_model
+
+        def counting_is_model(X, T):
+            certified.append(X)
+            return is_model(X, T)
+
+        monkeypatch.setattr(relcore, "is_model", counting_is_model)
+        Z, X, Y = chain2, chain2, chain3
+        E = exponential(X, Y, POS)
+        fs = enumerate_morphisms(product([Z, X]), Y)
+        assert fs
+        for f in fs:
+            assert uncurry(curry(f, Z, X, Y, POS), Z, X, Y, POS) == f
+        assert certified == [X, Y, E]
+
+    def test_curry_rejects_a_partial_map(self, chain2):
+        Z = poset(("z",), [])
+        f = {("z", "a"): "a"}
+        with pytest.raises(StructureError):
+            curry(f, Z, chain2, chain2, POS)
+
+    def test_curry_rejects_a_map_breaking_an_edge(self, chain2):
+        Z = poset(("z",), [])
+        f = {("z", "a"): "b", ("z", "b"): "a"}
+        with pytest.raises(StructureError):
+            curry(f, Z, chain2, chain2, POS)
+
+    def test_uncurry_rejects_a_non_morphism(self, chain2):
+        g = {"a": ("b", "b"), "b": ("a", "a")}
+        with pytest.raises(StructureError):
+            uncurry(g, chain2, chain2, chain2, POS)
+
+    def test_transposes_reject_mixed_signatures(self, chain2):
+        Z = FinStructure(RelSignature(), ("z",), frozenset())
+        f = {("z", x): x for x in chain2.carrier}
+        with pytest.raises(SignatureMismatch):
+            curry(f, Z, chain2, chain2, POS)
+        with pytest.raises(SignatureMismatch):
+            uncurry({"z": ("a", "b")}, Z, chain2, chain2, POS)
 
 
 class TestBuiltinTheories:
