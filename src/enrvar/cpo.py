@@ -16,6 +16,8 @@ from .relcore import (
     FinStructure,
     StructureError,
     builtin_theory,
+    chase,
+    enumerate_morphisms,
     is_model,
 )
 from .syntax import (
@@ -23,6 +25,10 @@ from .syntax import (
     ExplicitChain,
     extended_context,
 )
+
+
+# the base of every free completion, built once so its compiled joins are kept
+_POS = builtin_theory("pos")
 
 
 class IterationNotStabilized(RuntimeError):
@@ -87,52 +93,18 @@ def _greatest(X: FinStructure, chain: tuple):
 
 
 def free_omega_cpo(P: CpoPresentation) -> tuple[FinStructure, dict]:
-    """Free chain-complete poset on a presentation, by fixpoint: each cover
-    (p, U) adds p <= m for the currently greatest m inside U, the order is
-    re-closed transitively, and finally the symmetric part is collapsed.
+    """Free chain-complete poset on a presentation: the pos chase of the
+    preorder plus one edge p <= max U for each cover (p, U).
 
+    The cover edge is fixed once: U is a chain of the preorder and the chase
+    only adds order, so the greatest element of U stays greatest throughout.
     Returns (poset, unit); the unit maps presentation elements to their class
     representatives (earliest in carrier order) and preserves covers.
     """
     X = P.preorder
-    carrier = X.carrier
-    leq = {(a, b) for rel, (a, b) in X.edges if rel == LE}
-    for a in carrier:
-        leq.add((a, a))
-    changed = True
-    while changed:
-        changed = False
-        # transitive closure
-        closing = True
-        while closing:
-            closing = False
-            for a, b in list(leq):
-                for c in carrier:
-                    if (b, c) in leq and (a, c) not in leq:
-                        leq.add((a, c))
-                        closing = True
-        for p, chain in P.covers:
-            m = None
-            for u in chain:  # greatest element of the chain under the current order
-                if all((v, u) in leq for v in chain):
-                    m = u
-                    break
-            assert m is not None  # nonempty finite chains always have one
-            if (p, m) not in leq:
-                leq.add((p, m))
-                changed = True
-    # quotient by the symmetric part, keeping the earliest representative
-    pos = {x: i for i, x in enumerate(carrier)}
-    rep = {}
-    for x in carrier:
-        cls = [y for y in carrier if (x, y) in leq and (y, x) in leq]
-        rep[x] = min(cls, key=lambda y: pos[y])
-    kept = [x for x in carrier if rep[x] == x]
-    edges = frozenset(
-        (LE, (rep[a], rep[b])) for a, b in leq
-    )
-    poset = FinStructure(X.signature, tuple(kept), edges)
-    return poset, dict(rep)
+    cover_edges = {(LE, (p, _greatest(X, chain))) for p, chain in P.covers}
+    raw = FinStructure(X.signature, X.carrier, X.edges | cover_edges)
+    return chase(raw, _POS)
 
 
 def is_presentation_morphism(
@@ -203,6 +175,4 @@ def satisfies_chain_relation(A, rel: ChainRelation) -> bool:
 
 
 def _monotone_map_count(dom: FinStructure, cod: FinStructure) -> int:
-    from .relcore import enumerate_morphisms
-
     return len(enumerate_morphisms(dom, cod))

@@ -208,11 +208,11 @@ class _Parser:
         return self.expect("IDENT", what).value
 
     def elem_id(self) -> str:
-        t = self.peek()
-        if t.kind == "STRING":
-            return self.next().value
-        if t.kind == "IDENT":
-            return self.next().value
+        return self.elem_tok().value
+
+    def elem_tok(self) -> Token:
+        if self.peek().kind in ("STRING", "IDENT"):
+            return self.next()
         self.fail("expected an element id (identifier or string)")
 
     def int_lit(self) -> int:
@@ -324,25 +324,16 @@ class _Parser:
             self.next()
 
     def parse_id_list(self) -> list[str]:
+        return [t.value for t in self.parse_id_toks()]
+
+    def parse_id_toks(self) -> list[Token]:
         self.expect("LBRACK")
         out = []
         while self.peek().kind != "RBRACK":
-            out.append(self.elem_id())
+            out.append(self.elem_tok())
             self.skip_separators()
         self.next()
         return out
-
-    def parse_rel_name(self, base: HornTheory) -> str:
-        t = self.peek()
-        if t.kind == "TILDE":
-            self.next()
-            return "~" + self.ident("lattice element")
-        if t.kind == "IDENT":
-            return self.next().value
-        if t.kind == "LEQ":
-            self.next()
-            return LE
-        self.fail("expected a relation name")
 
     def parse_structure_body(self, base: HornTheory, name: str) -> FinStructure:
         """elems [...] ; (reflexive)? ; (edge ...)*"""
@@ -703,8 +694,9 @@ class _Parser:
         arities: dict[str, Arity] = {}
         arity_order: list[str] = []
         objects: dict[str, dict[str, FinStructure]] = {}
-        units: dict[str, list] = {}
+        units: dict[str, dict] = {}
         exts: list[tuple] = []
+        sort_toks: list[Token] = []  # sorts named by object, unit and ext blocks
         while not self.eat_rbrace():
             tok = self.peek()
             word = self.ident("monad clause")
@@ -742,6 +734,7 @@ class _Parser:
                 while not self.eat_rbrace():
                     if not self.eat_keyword("sort"):
                         self.fail("expected a sort clause inside the object block")
+                    sort_toks.append(self.peek())
                     s = self.ident("sort")
                     per_sort[s] = self.parse_structure_body(base, f"{name}.{aname}.{s}")
                     self.skip_semis()
@@ -749,11 +742,12 @@ class _Parser:
             elif word == "unit":
                 aname = self.ident("arity name")
                 self.expect("LBRACE")
-                blocks: dict[str, list[str]] = {}
+                blocks: dict[str, list[Token]] = {}
                 while not self.eat_rbrace():
+                    sort_toks.append(self.peek())
                     s = self.ident("sort")
                     self.expect("COLON")
-                    blocks[s] = self.parse_id_list()
+                    blocks[s] = self.parse_id_toks()
                     self.skip_separators()
                 units[aname] = blocks
             elif word == "ext":
@@ -763,14 +757,16 @@ class _Parser:
                 self.expect("LBRACK")
                 kblocks: dict[str, list[str]] = {}
                 while self.peek().kind != "RBRACK":
+                    sort_toks.append(self.peek())
                     s = self.ident("sort")
                     self.expect("COLON")
                     kblocks[s] = self.parse_id_list()
                     self.skip_separators()
                 self.next()
                 self.expect("LBRACE")
-                tables: dict[str, dict] = {}
+                tables: dict[str, dict[str, Token]] = {}
                 while not self.eat_rbrace():
+                    sort_toks.append(self.peek())
                     s = self.ident("sort")
                     self.expect("COLON")
                     self.expect("LBRACE")
@@ -778,7 +774,7 @@ class _Parser:
                     while not self.eat_rbrace():
                         src_elem = self.elem_id()
                         self.expect("ARROW")
-                        table[src_elem] = self.elem_id()
+                        table[src_elem] = self.elem_tok()
                         self.skip_separators()
                     tables[s] = table
                     self.skip_separators()
@@ -788,6 +784,9 @@ class _Parser:
             self.skip_semis()
         if base is None or not sorts:
             self.fail(f"monad {name!r} needs base and sort clauses")
+        for stok in sort_toks:
+            if stok.value not in sorts:
+                self.fail(f"monad {name!r} never declares sort {stok.value!r}", stok)
         sortset = SortSet(tuple(sorts))
         arity_list = tuple(arities[a] for a in arity_order)
         obj = {}
@@ -803,14 +802,24 @@ class _Parser:
                 )
             obj[J] = per
             blocks = units.get(aname, {})
-            unit[J] = tuple(tuple(blocks.get(s, [])) for s in sortset.sorts)
+            for s, toks in blocks.items():
+                for t in toks:
+                    if t.value not in per[s].index:
+                        self.fail(f"unit generator {t.value!r} is not in {aname} at {s}", t)
+            unit[J] = tuple(tuple(t.value for t in blocks.get(s, [])) for s in sortset.sorts)
         ext = {}
         for src, dst, kblocks, tables, tok in exts:
             if src not in arities or dst not in arities:
                 self.fail("ext clause names an unknown arity", tok)
             J, K = arities[src], arities[dst]
+            for s, table in tables.items():
+                for t in table.values():
+                    if t.value not in obj[K][s].index:
+                        self.fail(f"ext value {t.value!r} is not in {dst} at {s}", t)
             k = tuple(tuple(kblocks.get(s, [])) for s in sortset.sorts)
-            ext[(J, K, k)] = {s: tables.get(s, {}) for s in sortset.sorts}
+            ext[(J, K, k)] = {
+                s: {x: t.value for x, t in tables.get(s, {}).items()} for s in sortset.sorts
+            }
         return name, RelMonadData(base, sortset, arity_list, obj, unit, ext, name=name)
 
     # -- presentations -----------------------------------------------------------

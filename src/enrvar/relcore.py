@@ -115,8 +115,10 @@ class FinStructure:
             rows[rel] = r
         return rows
 
-    def has_edge(self, rel: str, tup: tuple) -> bool:
-        return (rel, tup) in self.edges
+    @cached_property
+    def by_pos(self) -> dict[str, tuple[dict, ...]]:
+        """Per relation and position: the edge tuples by their element there."""
+        return _EdgeIndex(self.signature, self.edges).by_pos
 
     def size(self) -> int:
         return len(self.carrier)
@@ -141,6 +143,11 @@ class HornFormula:
         for v in self.conclusion[1]:
             seen.setdefault(v, None)
         return tuple(seen)
+
+    @cached_property
+    def plan(self) -> _Plan:
+        """The premises compiled into one join plan per premise."""
+        return _compile(self)
 
 
 def reflexivity_formula(rel: str, ar: int) -> HornFormula:
@@ -211,48 +218,6 @@ def is_pi_morphism(f: Mapping, X: FinStructure, Y: FinStructure) -> bool:
 
 # -- satisfaction ------------------------------------------------------------
 
-def _ordered_premises(X: FinStructure, premises) -> list:
-    # cheapest edge lists first; deterministic tie break
-    by = X.edges_by_rel
-    return sorted(premises, key=lambda e: (len(by.get(e[0], ())), e[0], e[1]))
-
-
-def _premise_valuations(X: FinStructure, premises) -> list[dict]:
-    """All variable valuations making every premise an edge of X."""
-    vals = [dict()]
-    for rel, vars_ in premises:
-        tuples = X.edges_by_rel.get(rel, ())
-        new: list[dict] = []
-        for env in vals:
-            for tup in tuples:
-                add: dict = {}
-                ok = True
-                for v, x in zip(vars_, tup):
-                    bound = env.get(v, add.get(v, _MISSING))
-                    if bound is _MISSING:
-                        add[v] = x
-                    elif bound != x:
-                        ok = False
-                        break
-                if ok:
-                    new.append({**env, **add})
-        vals = new
-        if not vals:
-            break
-    return vals
-
-
-_MISSING = object()
-
-
-def _conclusion_holds(X: FinStructure, conclusion: Edge, env: Mapping) -> bool:
-    crel, cvars = conclusion
-    inst = tuple(env[v] for v in cvars)
-    if crel in _EQ_SPELLINGS:
-        return inst[0] == inst[1]
-    return (crel, inst) in X.edges
-
-
 def satisfies_formula(X: FinStructure, phi: HornFormula) -> bool:
     """True iff every valuation making the premises edges of X also makes the
     conclusion hold (with equality interpreted as the diagonal)."""
@@ -266,27 +231,14 @@ def satisfies_formula(X: FinStructure, phi: HornFormula) -> bool:
     fast = _fast_formula(X, phi)
     if fast is not None:
         return fast
-    crel, cvars = phi.conclusion
-    for env in _premise_valuations(X, _ordered_premises(X, phi.premises)):
-        free: dict[str, None] = {}
-        for v in cvars:
-            if v not in env:
-                free.setdefault(v, None)
-        if not free:
-            if not _conclusion_holds(X, phi.conclusion, env):
-                return False
-            continue
-        names = tuple(free)
-        for choice in itertools.product(X.carrier, repeat=len(names)):
-            full = {**env, **dict(zip(names, choice))}
-            if not _conclusion_holds(X, phi.conclusion, full):
-                return False
-    return True
+    plan = phi.plan
+    emit = _consequences(plan, X.carrier, X.edges, set(), stop=True)
+    env = [None] * plan.nslots
+    return not (_join(X, plan.seeded[0], 0, env, emit) if plan.seeded else emit(env))
 
 
-# Fast evaluation for the binary-relation axiom shapes of the builtin
-# theories (reflexivity, containment, symmetry, transitivity, antisymmetry).
-# Anything else falls back to the generic join above.
+# Fast evaluation for the reflexivity and transitivity shapes of the builtin
+# theories; every other formula goes through the compiled join below.
 
 def _fast_formula(X: FinStructure, phi: HornFormula):
     rows = X.binary_rows
@@ -297,76 +249,121 @@ def _fast_formula(X: FinStructure, phi: HornFormula):
             and cvars[0] == cvars[1] and crel in rows:
         r = rows[crel]
         return all((r[i] >> i) & 1 for i in range(n))
-    if any(len(e[1]) != 2 or e[0] not in rows for e in prem):
+    if len(prem) != 2 or crel not in rows \
+            or any(len(e[1]) != 2 or e[0] not in rows for e in prem):
         return None
-    pvars: list[str] = []
-    for _, tup in prem:
-        for v in tup:
-            if v not in pvars:
-                pvars.append(v)
-    if len(pvars) == 2:
-        a, b = pvars
-        mat = [(1 << n) - 1] * n  # valuation matrix over (a, b) pairs
-        for rel, (x, y) in prem:
-            r = rows[rel]
-            if (x, y) == (a, b):
-                mat = [mat[i] & r[i] for i in range(n)]
-            elif (x, y) == (b, a):
-                t = _transpose(r, n)
-                mat = [mat[i] & t[i] for i in range(n)]
-            elif x == y == a:
-                mat = [mat[i] if (r[i] >> i) & 1 else 0 for i in range(n)]
-            elif x == y == b:
-                diag = 0
-                for j in range(n):
-                    if (rows[rel][j] >> j) & 1:
-                        diag |= 1 << j
-                mat = [mat[i] & diag for i in range(n)]
-            else:
-                return None
-        if crel in _EQ_SPELLINGS and tuple(cvars) in ((a, b), (b, a)):
-            return all(mat[i] & ~(1 << i) == 0 for i in range(n))
-        if crel in rows and len(cvars) == 2:
-            if tuple(cvars) == (a, b):
-                goal = rows[crel]
-            elif tuple(cvars) == (b, a):
-                goal = _transpose(rows[crel], n)
-            else:
-                return None
-            return all(mat[i] & ~goal[i] == 0 for i in range(n))
+    (r1, (x1, y1)), (r2, (x2, y2)) = prem
+    if len({x1, y1, x2, y2}) != 3:
         return None
-    if len(pvars) == 3 and len(prem) == 2:
-        (r1, (x1, y1)), (r2, (x2, y2)) = prem
-        chains = [(r1, x1, y1, r2, x2, y2), (r2, x2, y2, r1, x1, y1)]
-        for ra, xa, ya, rb, xb, yb in chains:
-            if ya == xb and xa != ya and yb != xb and xa != yb \
-                    and crel in rows and tuple(cvars) == (xa, yb):
-                rar = rows[ra]
-                rbr = rows[rb]
-                goal = rows[crel]
-                for i in range(n):
-                    m = rar[i]
-                    j = 0
-                    while m:
-                        if m & 1 and rbr[j] & ~goal[i]:
-                            return False
-                        m >>= 1
-                        j += 1
-                return True
+    for ra, xa, ya, rb, xb, yb in ((r1, x1, y1, r2, x2, y2), (r2, x2, y2, r1, x1, y1)):
+        if ya == xb and tuple(cvars) == (xa, yb):
+            rar, rbr, goal = rows[ra], rows[rb], rows[crel]
+            for i in range(n):
+                m = rar[i]
+                j = 0
+                while m:
+                    if m & 1 and rbr[j] & ~goal[i]:
+                        return False
+                    m >>= 1
+                    j += 1
+            return True
     return None
 
 
-def _transpose(rows: list[int], n: int) -> list[int]:
-    out = [0] * n
-    for i in range(n):
-        m = rows[i]
-        j = 0
-        while m:
-            if m & 1:
-                out[j] |= 1 << i
-            m >>= 1
-            j += 1
-    return out
+# -- compiled join -------------------------------------------------------------
+
+class _Plan(NamedTuple):
+    """A formula compiled for _join, variables as slots of a valuation list:
+    per premise in sorted order, the steps of a join seeded from it.  A step
+    (rel, key, binds, tests, check) either tests the edge on the slots in
+    check, or takes the rel tuples with the bound (position, slot) key (all
+    of them if key is None), binds the pairs in binds and checks the pairs in
+    tests.  free are the slots of the conclusion-only variables."""
+
+    nslots: int
+    seeded: tuple
+    rel: str
+    conclusion: tuple
+    free: tuple
+
+
+def _compile(phi: HornFormula) -> _Plan:
+    slot = {v: i for i, v in enumerate(phi.variables())}
+    premises = sorted(phi.premises)
+    seeded = []
+    for seed in premises:
+        bound: set = set()
+        rest, steps = list(premises), []
+        while rest:
+            # the seed, then fully bound premises, then lookups, then scans
+            rel, tup = min(rest, key=lambda a: (
+                a != seed, not bound.issuperset(a[1]), bound.isdisjoint(a[1])))
+            rest.remove((rel, tup))
+            if bound.issuperset(tup):
+                steps.append((rel, None, (), (), tuple(slot[v] for v in tup)))
+                continue
+            before = set(bound)
+            key, binds, tests = None, [], []
+            for p, v in enumerate(tup):
+                if key is None and v in before:
+                    key = (p, slot[v])
+                elif v in bound:
+                    tests.append((p, slot[v]))
+                else:
+                    bound.add(v)
+                    binds.append((p, slot[v]))
+            steps.append((rel, key, tuple(binds), tuple(tests), None))
+        seeded.append(tuple(steps))
+    crel, cvars = phi.conclusion
+    pvars = {v for _, tup in premises for v in tup}
+    free = tuple(slot[v] for v in dict.fromkeys(cvars) if v not in pvars)
+    return _Plan(len(slot), tuple(seeded), crel, tuple(slot[v] for v in cvars), free)
+
+
+def _join(ix, steps: tuple, k: int, env: list, emit, cands=None) -> bool:
+    """Extend the valuation env through steps[k:] over the edges of ix (a
+    FinStructure or an _EdgeIndex), passing each full valuation to emit as it
+    is found; True as soon as emit returns True.  cands, when given, are the
+    candidate tuples of steps[k]: the seed edges of a chase round."""
+    rel, key, binds, tests, check = steps[k]
+    if cands is None and check is not None:
+        cands = ((),) if (rel, tuple([env[s] for s in check])) in ix.edges else ()
+    elif cands is None:
+        cands = ix.edges_by_rel[rel] if key is None else ix.by_pos[rel][key[0]].get(env[key[1]], ())
+    last = k + 1 == len(steps)
+    for tup in cands:
+        for p, s in binds:
+            env[s] = tup[p]
+        for p, s in tests:
+            if tup[p] != env[s]:
+                break
+        else:
+            if emit(env) if last else _join(ix, steps, k + 1, env, emit):
+                return True
+    return False
+
+
+def _consequences(plan: _Plan, carrier, edges, found: set, stop: bool):
+    """The emit of a join: adds to found each instance of the conclusion under
+    the valuation, over every choice of the conclusion-only variables, that
+    does not hold in edges; with stop, returns True at the first."""
+    crel, cslots, free = plan.rel, plan.conclusion, plan.free
+    is_eq = crel in _EQ_SPELLINGS
+
+    def emit(env):
+        inst = tuple([env[s] for s in cslots])
+        if inst[0] != inst[1] if is_eq else (crel, inst) not in edges:
+            found.add((crel, inst))
+            return stop
+
+    def emit_free(env):
+        for choice in itertools.product(carrier, repeat=len(free)):
+            for s, x in zip(free, choice):
+                env[s] = x
+            if emit(env):
+                return True
+
+    return emit_free if free else emit
 
 
 def is_model(X: FinStructure, T: HornTheory) -> bool:
@@ -381,12 +378,40 @@ class ChaseResult(NamedTuple):
     unit: dict
 
 
+class _EdgeIndex:
+    """A growing edge set with the lookups _join reads, under the attribute
+    names of FinStructure."""
+
+    def __init__(self, signature: RelSignature, edges: Iterable = ()):
+        self.edges: set = set()
+        self.edges_by_rel: dict[str, list] = {n: [] for n in signature.names}
+        self.by_pos = {n: tuple({} for _ in range(ar)) for n, ar in signature.symbols}
+        self.add(edges)
+
+    def add(self, edges: Iterable) -> dict[str, list]:
+        """Add edges; return the ones not present before, by relation."""
+        fresh: dict[str, list] = {}
+        for e in edges:
+            if e not in self.edges:
+                self.edges.add(e)
+                rel, tup = e
+                self.edges_by_rel[rel].append(tup)
+                for p, x in enumerate(tup):
+                    self.by_pos[rel][p].setdefault(x, []).append(tup)
+                fresh.setdefault(rel, []).append(tup)
+        return fresh
+
+
 def chase(X: FinStructure, T: HornTheory) -> ChaseResult:
     """Free T-model on X: saturate edges under relational conclusions and
     merge elements under equality conclusions, to a joint fixpoint.
 
-    The returned unit maps each original element to its representative; merged
-    classes keep the element earliest in carrier order.
+    Semi-naive: each round seeds every axiom's compiled join only from the
+    edges new since the previous round (all of X's in the first, which alone
+    fires premise-free axioms), over one edge set indexed in place.  A merge
+    renames edges to their representatives, and the renamed edges join the
+    round's new ones.  The returned unit maps each original element to its
+    representative; merged classes keep the element earliest in carrier order.
     """
     _same_signature(X, T)
     original = X.carrier
@@ -400,43 +425,40 @@ def chase(X: FinStructure, T: HornTheory) -> ChaseResult:
         return x
 
     carrier = list(original)
-    edges = set(X.edges)
+    ix = _EdgeIndex(T.signature)
+    delta = ix.add(X.edges)
+    first = True
     while True:
-        current = FinStructure(T.signature, tuple(carrier), frozenset(edges))
-        new_edges: set = set()
-        merges: list[tuple] = []
+        found: set = set()
         for ax in T.axioms:
-            crel, cvars = ax.conclusion
-            for env in _premise_valuations(current, _ordered_premises(current, ax.premises)):
-                free: list[str] = []
-                for v in cvars:
-                    if v not in env and v not in free:
-                        free.append(v)
-                for choice in itertools.product(carrier, repeat=len(free)):
-                    full = {**env, **dict(zip(free, choice))}
-                    inst = tuple(full[v] for v in cvars)
-                    if crel in _EQ_SPELLINGS:
-                        if inst[0] != inst[1]:
-                            merges.append(inst)
-                    elif (crel, inst) not in edges:
-                        new_edges.add((crel, inst))
+            plan = ax.plan
+            emit = _consequences(plan, carrier, ix.edges, found, stop=False)
+            env = [None] * plan.nslots
+            if first and not plan.seeded:
+                emit(env)
+            # every valuation of the first round is new, and one seed finds it
+            for steps in plan.seeded[:1] if first else plan.seeded:
+                if steps[0][0] in delta:
+                    _join(ix, steps, 0, env, emit, delta[steps[0][0]])
+        first = False
+        merges = [inst for rel, inst in found if rel in _EQ_SPELLINGS]
         if merges:
             for a, b in merges:
-                ra, rb = find(a), find(b)
-                if ra == rb:
-                    continue
-                if pos[ra] > pos[rb]:
-                    ra, rb = rb, ra
+                ra, rb = sorted((find(a), find(b)), key=pos.__getitem__)
                 parent[rb] = ra
             carrier = [x for x in carrier if find(x) == x]
-            edges = {(rel, tuple(find(x) for x in tup)) for rel, tup in edges}
-            edges |= {(rel, tuple(find(x) for x in tup)) for rel, tup in new_edges}
-            continue
-        if new_edges:
-            edges |= new_edges
-            continue
-        break
-    model = FinStructure(T.signature, tuple(carrier), frozenset(edges))
+            edges = ix.edges
+            ix = _EdgeIndex(T.signature, (e for e in edges if all(find(x) == x for x in e[1])))
+            delta = ix.add(
+                (rel, tuple([find(x) for x in tup]))
+                for rel, tup in itertools.chain(edges, found)
+                if rel not in _EQ_SPELLINGS
+            )
+        elif found:
+            delta = ix.add(found)
+        else:
+            break
+    model = FinStructure(T.signature, tuple(carrier), frozenset(ix.edges))
     return ChaseResult(model, {x: find(x) for x in original})
 
 
@@ -536,10 +558,6 @@ def exp_edge_holds(X: FinStructure, Y: FinStructure, rel: str, fs: tuple) -> boo
 
 def as_image_tuple(f: Mapping, X: FinStructure) -> tuple:
     return tuple(f[x] for x in X.carrier)
-
-
-def apply_exp(felem: tuple, x, X: FinStructure):
-    return felem[X.index[x]]
 
 
 @lru_cache(maxsize=4096)

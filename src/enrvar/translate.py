@@ -32,6 +32,7 @@ from .relcore import (
     LE,
     FinStructure,
     StructureError,
+    builtin_theory,
     chase,
     relabel,
 )
@@ -340,7 +341,7 @@ def cpo_classical_to_enriched(
                 steps.add((LE, (t, rel.limit)))
             covers.append((rel.limit, tuple(chain_terms)))
         raw = FinStructure(preord_sig, tuple(terms), frozenset(steps))
-        preorder, _ = chase(raw, __preord())
+        preorder, _ = chase(raw, builtin_theory("preord"))
         pres = CpoPresentation(preorder, tuple(covers))
         param, unit = free_omega_cpo(pres)
         param = relabel(param, {t: str(t) for t in param.carrier})
@@ -380,12 +381,6 @@ def cpo_classical_to_enriched(
         return Algebra(sig, A.carrier, interp)
 
     return out, Correspondence(forward, backward, "free-completion expansion")
-
-
-def __preord():
-    from .relcore import builtin_theory
-
-    return builtin_theory("preord")
 
 
 # -- the verifier -------------------------------------------------------------------

@@ -92,6 +92,35 @@ def naive_chase(X, T):
             unit = {x: sub(r) for x, r in unit.items()}
 
 
+def naive_free_completion(P):
+    """Free completion of a presentation by its definition: the least
+    preorder containing the presentation's order and, for each cover (p, U),
+    the edge p <= m for a greatest element m of U under the order so far,
+    re-closed until no cover adds an edge; then the quotient by the symmetric
+    part, keeping each class's earliest element.  Returns plain values:
+    (carrier tuple, edge set, unit dict)."""
+    carrier = P.preorder.carrier
+    le = {(a, b) for rel, (a, b) in P.preorder.edges if rel == LE}
+    le |= {(x, x) for x in carrier}
+    while True:
+        for k in carrier:  # Warshall
+            for i in carrier:
+                for j in carrier:
+                    if (i, k) in le and (k, j) in le:
+                        le.add((i, j))
+        grown = False
+        for p, chain in P.covers:
+            top = next(u for u in chain if all((v, u) in le for v in chain))
+            if (p, top) not in le:
+                le.add((p, top))
+                grown = True
+        if not grown:
+            break
+    rep = {x: next(y for y in carrier if (x, y) in le and (y, x) in le) for x in carrier}
+    kept = tuple(x for x in carrier if rep[x] == x)
+    return kept, frozenset((LE, (rep[a], rep[b])) for a, b in le), rep
+
+
 # -- plain classical universal algebra (for the base = set degeneration) ---------
 
 def plain_eval(tables: dict, term, env: tuple):

@@ -37,6 +37,7 @@ from enrvar.syntax import (
 )
 
 from conftest import poset
+from oracles import naive_free_completion
 
 POS = builtin_theory("pos")
 PREORD = builtin_theory("preord")
@@ -105,6 +106,25 @@ class TestFreeCompletion:
                     if all(g[unit[x]] == f[x] for x in pre.carrier)
                 ]
                 assert len(factorizations) == 1
+
+    def test_agrees_with_naive_completion(self):
+        # every preorder on <= 4 elements, with no cover, every single cover
+        # and every pair of covers
+        for pre in models_up_to(PREORD, 4):
+            chains = [
+                c
+                for r in range(1, len(pre.carrier) + 1)
+                for c in itertools.combinations(pre.carrier, r)
+                if all(
+                    (LE, (u, v)) in pre.edges or (LE, (v, u)) in pre.edges
+                    for u, v in itertools.combinations(c, 2)
+                )
+            ]
+            covers = [(p, c) for p in pre.carrier for c in chains]
+            for chosen in [()] + [(c,) for c in covers] + list(itertools.combinations(covers, 2)):
+                P = CpoPresentation(pre, chosen)
+                out, unit = free_omega_cpo(P)
+                assert (out.carrier, out.edges, unit) == naive_free_completion(P)
 
 
 class TestPresentationMorphisms:

@@ -96,10 +96,28 @@ theory broken {
             ("monad m {\n  base set\n  sort A A\n}", 3, 10),
             ("monad m {\n  base set\n  sort A\n  arity J { B: 1 }\n}", 4, 13),
             ("monad m {\n  sort A\n  arity J { A: 1 }\n  object J { }\n  base set\n}", 4, 3),
+            (
+                "monad m { base set sort A arity J { A: 1 } "
+                "object J { sort B { elems [g] } } }",
+                1, 60,
+            ),
+            (
+                "monad m { base set sort A arity J { A: 1 } "
+                "object J { sort A { elems [g] } } unit J { A: [h] } "
+                "ext J -> J [A: [g]] { A: { g -> zz } } }",
+                1, 91,
+            ),
+            (
+                "monad m { base set sort A arity J { A: 1 } "
+                "object J { sort A { elems [g] } } unit J { A: [g] } "
+                "ext J -> J [A: [g]] { A: { g -> zz } } }",
+                1, 128,
+            ),
         ],
         ids=[
             "simp-zero", "qchain-zero", "arity-before-sort", "duplicate-sort",
-            "unknown-sort", "object-before-base",
+            "unknown-sort", "object-before-base", "object-undeclared-sort",
+            "unit-outside-object", "ext-outside-target",
         ],
     )
     def test_malformed_input_fails_at_the_offending_token(self, text, line, col):

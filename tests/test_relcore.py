@@ -44,6 +44,22 @@ POS = builtin_theory("pos")
 PREORD = builtin_theory("preord")
 SIG = POS.signature
 
+# A theory with the premise shapes no builtin has: a repeated variable inside
+# one premise, a conclusion-only variable, a nullary relation, a ternary
+# relation and an equality conclusion.
+_MIXED_SIG = RelSignature((("R", 2), ("S", 2), ("U", 1), ("P", 0), ("Q", 3)))
+MIXED = HornTheory(
+    _MIXED_SIG,
+    tuple(reflexivity_formula(rel, ar) for rel, ar in _MIXED_SIG.symbols)
+    + (
+        HornFormula(frozenset({("R", ("x", "x")), ("U", ("x",))}), ("S", ("x", "y"))),
+        HornFormula(frozenset({("R", ("x", "y")), ("R", ("y", "x")), ("P", ())}), (EQ, ("x", "y"))),
+        HornFormula(frozenset({("Q", ("x", "y", "y"))}), ("R", ("y", "x"))),
+        HornFormula(frozenset({("R", ("x", "y")), ("S", ("y", "z"))}), ("Q", ("x", "y", "z"))),
+    ),
+    name="mixed",
+)
+
 
 def edge(a, b):
     return (LE, (a, b))
@@ -168,7 +184,14 @@ class TestChase:
 
     def test_agrees_with_naive_oracle(self):
         rng = random.Random(11)
-        for T in (POS, PREORD, builtin_theory("simp(2)")):
+        for T in (
+            POS,
+            PREORD,
+            builtin_theory("simp(2)"),
+            builtin_theory("qchain(2)"),
+            builtin_theory("simp(3)"),
+            MIXED,
+        ):
             for _ in range(40):
                 X = random_structure(rng, T.signature, max_size=3)
                 model, unit = chase(X, T)
