@@ -178,9 +178,6 @@ class Algebra:
     carrier: dict[str, FinStructure]
     interp: dict[str, dict]
 
-    def sort_structure(self, s: str) -> FinStructure:
-        return self.carrier[s]
-
     def key(self):
         return (
             tuple(sorted((s, X.carrier, X.edges) for s, X in self.carrier.items())),
@@ -245,10 +242,6 @@ def hom_family(
     sort-indexed families of morphisms (as image tuples)."""
     exps = [exponential(X[s], Y[s], base) for s in sorts.sorts]
     return product(exps, signature=base.signature)
-
-
-def family_element(f: Mapping[str, Mapping], X: Mapping[str, FinStructure], sorts: SortSet):
-    return tuple(as_image_tuple(f[s], X[s]) for s in sorts.sorts)
 
 
 def family_maps(elem: tuple, X: Mapping[str, FinStructure], sorts: SortSet) -> dict:

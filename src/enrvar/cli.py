@@ -69,7 +69,10 @@ def _resolve_base(spec: str | None, tf: TheoryFile, model: str | None = None) ->
             return next(iter(bases))
         raise DslError("ambiguous base theory; pass --theory")
     if spec in ("set", "preord", "pos") or spec.startswith(("simp(", "qchain(")):
-        return builtin_theory(spec)
+        try:
+            return builtin_theory(spec)
+        except StructureError as e:
+            raise DslError(f"--theory {spec}: {e}") from None
     inner = _load_file(spec)
     return theory_parts(inner.sole_theory())[0].base
 

@@ -17,7 +17,7 @@ from .relcore import (
     StructureError,
     builtin_theory,
     chase,
-    enumerate_morphisms,
+    count_morphisms,
     is_model,
 )
 from .syntax import (
@@ -154,7 +154,7 @@ def satisfies_chain_relation(A, rel: ChainRelation) -> bool:
         hole_ctx = extended_context(rel.context, rel.sort)
         current = interpret_term(A, rel.context, rel.chain.seed)
         tables = [current]
-        bound = _monotone_map_count(dom, cod) + 1
+        bound = count_morphisms(dom, cod) + 1
         for _ in range(bound):
             step = {
                 point: eval_term(A, hole_ctx, rel.chain.step, point + (current[point],))
@@ -173,6 +173,3 @@ def satisfies_chain_relation(A, rel: ChainRelation) -> bool:
             return False
     return tables[-1] == limit
 
-
-def _monotone_map_count(dom: FinStructure, cod: FinStructure) -> int:
-    return len(enumerate_morphisms(dom, cod))

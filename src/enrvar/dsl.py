@@ -271,7 +271,7 @@ class _Parser:
             try:
                 if word == "simp":
                     return builtin_theory("simp", n=n)
-                return builtin_theory("qcat", q=heyting_chain(n))
+                return builtin_theory("qchain", n=n)
             except StructureError as e:
                 self.fail(str(e), ntok)
         if word == "qcat":

@@ -101,18 +101,25 @@ class FinStructure:
         }
 
     @cached_property
-    def binary_rows(self) -> dict[str, list[int]]:
-        """Adjacency rows as bit masks, for the binary relation symbols."""
+    def rows(self) -> dict:
+        """Bit masks over carrier indices.  A binary relation gives (succ,
+        pred, loops): the successor and predecessor row of each element and
+        the mask of elements with a self-loop; a unary one, its member mask."""
         idx = self.index
         n = len(self.carrier)
-        rows: dict[str, list[int]] = {}
+        rows: dict = {}
         for rel, ar in self.signature.symbols:
-            if ar != 2:
-                continue
-            r = [0] * n
-            for a, b in self.edges_by_rel[rel]:
-                r[idx[a]] |= 1 << idx[b]
-            rows[rel] = r
+            if ar == 1:
+                rows[rel] = sum(1 << idx[a] for (a,) in self.edges_by_rel[rel])
+            elif ar == 2:
+                succ, pred, loops = [0] * n, [0] * n, 0
+                for a, b in self.edges_by_rel[rel]:
+                    i, j = idx[a], idx[b]
+                    succ[i] |= 1 << j
+                    pred[j] |= 1 << i
+                    if i == j:
+                        loops |= 1 << i
+                rows[rel] = (succ, pred, loops)
         return rows
 
     @cached_property
@@ -241,23 +248,22 @@ def satisfies_formula(X: FinStructure, phi: HornFormula) -> bool:
 # theories; every other formula goes through the compiled join below.
 
 def _fast_formula(X: FinStructure, phi: HornFormula):
-    rows = X.binary_rows
+    rows = X.rows
     n = len(X.carrier)
     crel, cvars = phi.conclusion
     prem = sorted(phi.premises)
     if not prem and crel not in _EQ_SPELLINGS and len(cvars) == 2 \
             and cvars[0] == cvars[1] and crel in rows:
-        r = rows[crel]
-        return all((r[i] >> i) & 1 for i in range(n))
-    if len(prem) != 2 or crel not in rows \
-            or any(len(e[1]) != 2 or e[0] not in rows for e in prem):
+        return rows[crel][2] == (1 << n) - 1
+    if len(prem) != 2 or len(cvars) != 2 or crel not in rows \
+            or any(len(e[1]) != 2 for e in prem):
         return None
     (r1, (x1, y1)), (r2, (x2, y2)) = prem
     if len({x1, y1, x2, y2}) != 3:
         return None
     for ra, xa, ya, rb, xb, yb in ((r1, x1, y1, r2, x2, y2), (r2, x2, y2, r1, x1, y1)):
         if ya == xb and tuple(cvars) == (xa, yb):
-            rar, rbr, goal = rows[ra], rows[rb], rows[crel]
+            rar, rbr, goal = rows[ra][0], rows[rb][0], rows[crel][0]
             for i in range(n):
                 m = rar[i]
                 j = 0
@@ -511,42 +517,121 @@ def relabel(X: FinStructure, mapping: Mapping) -> FinStructure:
     return FinStructure(X.signature, carrier, edges)
 
 
+# -- search --------------------------------------------------------------------
+
+def _search(values, doms: list, fwd: list, checks: list, out: list | None = None) -> int:
+    """Forward-checking search over variables 0..n-1, after Mackworth,
+    "Consistency in Networks of Relations" (AIJ 1977).
+
+    The candidates of variable k are the set bits of doms[k], indices into
+    values.  Variables are assigned in order and bits lowest first, so the
+    solutions come out lexicographically.  Assigning k to bit v ANDs rows[v]
+    into the domain of each later variable j, for every (j, rows) in fwd[k],
+    and backtracks when one becomes empty.  Each test in checks[k] is called
+    on the partial image (the list of assigned values) once k is assigned.
+    Returns the number of solutions and appends each, as a tuple of values,
+    to out when given."""
+    n = len(doms)
+    if not all(doms):
+        return 0
+    if n == 0:
+        if out is not None:
+            out.append(())
+        return 1
+    image = [None] * n
+    last = n - 1
+    total = 0
+
+    def rec(k: int, doms: list):
+        nonlocal total
+        d = doms[k]
+        tests, links = checks[k], fwd[k]
+        while d:
+            low = d & -d
+            d ^= low
+            v = low.bit_length() - 1
+            image[k] = values[v]
+            if tests and not all(t(image) for t in tests):
+                continue
+            if k == last:
+                total += 1
+                if out is not None:
+                    out.append(tuple(image))
+                continue
+            if not links:
+                rec(k + 1, doms)
+                continue
+            nd = doms[:]
+            for j, rows in links:
+                m = nd[j] & rows[v]
+                if not m:
+                    break
+                nd[j] = m
+            else:
+                rec(k + 1, nd)
+
+    rec(0, doms)
+    return total
+
+
+def _morphism_search(X: FinStructure, Y: FinStructure, out: list | None = None) -> int:
+    """_search over the carrier of X with candidate images in Y: a self-loop
+    or a unary edge narrows a domain once, every other binary edge links its
+    earlier element to its later one, and a nullary or wider edge is a
+    membership test at its last element."""
+    _same_signature(X, Y)
+    idx = X.index
+    n = len(X.carrier)
+    rows = Y.rows
+    doms = [(1 << len(Y.carrier)) - 1] * n
+    fwd: list[list] = [[] for _ in range(n)]
+    checks: list[list] = [[] for _ in range(n)]
+    for rel, ar in X.signature.symbols:
+        xs = X.edges_by_rel[rel]
+        if not xs:
+            continue
+        if ar == 0:
+            if (rel, ()) not in Y.edges:
+                return 0
+        elif ar == 1:
+            for (a,) in xs:
+                doms[idx[a]] &= rows[rel]
+        elif ar == 2:
+            succ, pred, loops = rows[rel]
+            for a, b in xs:
+                i, j = idx[a], idx[b]
+                if i == j:
+                    doms[i] &= loops
+                elif i < j:
+                    fwd[i].append((j, succ))
+                else:
+                    fwd[j].append((i, pred))
+        else:
+            for tup in xs:
+                ps = tuple(idx[x] for x in tup)
+                checks[max(ps)].append(
+                    lambda image, rel=rel, ps=ps: (rel, tuple([image[i] for i in ps])) in Y.edges
+                )
+    return _search(Y.carrier, doms, fwd, checks, out)
+
+
 def enumerate_morphisms(X: FinStructure, Y: FinStructure) -> list[dict]:
     """All morphisms X -> Y, lexicographic over carrier order."""
-    _same_signature(X, Y)
-    n = len(X.carrier)
-    idx = X.index
-    for rel, tup in X.edges:
-        if not tup and (rel, ()) not in Y.edges:
-            return []
-    checks: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in range(n)]
-    for rel in X.signature.names:
-        for tup in X.edges_by_rel[rel]:
-            if not tup:
-                continue
-            positions = tuple(idx[x] for x in tup)
-            checks[max(positions)].append((rel, positions))
-    yedges = Y.edges
-    image: list = [None] * n
-    out: list[dict] = []
+    images: list = []
+    _morphism_search(X, Y, images)
+    xs = X.carrier
+    return [dict(zip(xs, image)) for image in images]
 
-    def rec(k: int):
-        if k == n:
-            out.append(dict(zip(X.carrier, image)))
-            return
-        for y in Y.carrier:
-            image[k] = y
-            if all((rel, tuple(image[i] for i in ps)) in yedges for rel, ps in checks[k]):
-                rec(k + 1)
-        image[k] = None
 
-    rec(0)
-    return out
+def count_morphisms(X: FinStructure, Y: FinStructure) -> int:
+    """|Hom(X, Y)|, counted by the search of enumerate_morphisms without
+    building the maps."""
+    return _morphism_search(X, Y)
 
 
 def exp_edge_holds(X: FinStructure, Y: FinStructure, rel: str, fs: tuple) -> bool:
-    """Edge test of the candidate exponential: fs are image tuples over the
-    carrier order of X; the edge holds iff every rel-edge of X maps to a
+    """Edge test of the exponential for one family: fs are image tuples over
+    the carrier order of X; the edge holds iff every rel-edge of X maps to a
     rel-edge of Y componentwise."""
     idx = X.index
     yedges = Y.edges
@@ -560,11 +645,55 @@ def as_image_tuple(f: Mapping, X: FinStructure) -> tuple:
     return tuple(f[x] for x in X.carrier)
 
 
+def _exponential_edges(X: FinStructure, Y: FinStructure, homs: list) -> list:
+    """The edges of [X, Y] over the hom-set homs (image tuples), in
+    lexicographic order per relation, by _search over homs.  A set of homs
+    is a bit mask; eq[b][y] holds the g with g[b] = y.  For binary R the row
+    of f is the AND, over the R-edges (a, b) of X, of the g with g[b] in
+    succ_Y(f[a]); a wider R tests every R-edge of X at the last position."""
+    yidx = Y.index
+    hidx = [[yidx[y] for y in f] for f in homs]
+    full = (1 << len(homs)) - 1
+    m = len(Y.carrier)
+    eq = [[0] * m for _ in X.carrier]
+    for p, f in enumerate(hidx):
+        for b, y in enumerate(f):
+            eq[b][y] |= 1 << p
+    edges: list = []
+    for rel, ar in X.signature.symbols:
+        xs = [tuple(X.index[x] for x in t) for t in X.edges_by_rel[rel]]
+        fams: list = []
+        if ar == 0:
+            if not xs or (rel, ()) in Y.edges:
+                fams.append(())
+        elif ar == 1:
+            # a morphism maps every unary edge of X to one of Y
+            fams.extend((f,) for f in homs)
+        elif ar == 2:
+            succ = Y.rows[rel][0]
+            row = [full] * len(homs)
+            for a, b in xs:
+                # the g with g[b] in succ[y], per y; the eq[b][y] are disjoint
+                after = [sum(eq[b][y] for y in range(m) if s >> y & 1) for s in succ]
+                for p, f in enumerate(hidx):
+                    row[p] &= after[f[a]]
+            _search(homs, [full, full], [[(1, row)], []], [[], []], fams)
+        else:
+            tests = [
+                lambda image, t=t, rel=rel: (rel, tuple([f[i] for f, i in zip(image, t)])) in Y.edges
+                for t in xs
+            ]
+            _search(homs, [full] * ar, [[] for _ in range(ar)], [[]] * (ar - 1) + [tests], fams)
+        edges.extend((rel, fs) for fs in fams)
+    return edges
+
+
 @lru_cache(maxsize=4096)
 def exponential(X: FinStructure, Y: FinStructure, T: HornTheory) -> FinStructure:
     """The certified exponential [X, Y] of two T-models, built once per
     (X, Y, T) and cached: carrier is the hom-set (image tuples in enumeration
-    order), edges by the preservation condition (exp_edge_holds).
+    order); (rel, fs) is an edge iff fs maps every rel-edge of X to a rel-edge
+    of Y componentwise.
 
     The currying bijection against the product holds for this construction at
     the structure level by componentwise bookkeeping, so certification reduces
@@ -573,14 +702,9 @@ def exponential(X: FinStructure, Y: FinStructure, T: HornTheory) -> FinStructure
     sig = _same_signature(X, Y, T)
     if not is_model(X, T) or not is_model(Y, T):
         raise StructureError("exponential arguments must be models of the theory")
-    carrier = tuple(as_image_tuple(m, X) for m in enumerate_morphisms(X, Y))
-    edges = frozenset(
-        (rel, fs)
-        for rel, ar in sig.symbols
-        for fs in itertools.product(carrier, repeat=ar)
-        if exp_edge_holds(X, Y, rel, fs)
-    )
-    E = FinStructure(sig, carrier, edges)
+    carrier: list = []
+    _morphism_search(X, Y, carrier)
+    E = FinStructure(sig, tuple(carrier), frozenset(_exponential_edges(X, Y, carrier)))
     if not is_model(E, T):
         raise NotClosed(
             "candidate exponential is not a model of the theory; "
@@ -709,18 +833,55 @@ def heyting_chain(n: int) -> HeytingAlgebra:
     return HeytingAlgebra(elems, meet, join, elems[-1])
 
 
+# The most axioms a builtin theory may have; simp(4) has 498, simp(5) 5702.
+MAX_BUILTIN_AXIOMS = 4096
+
+
+def _check_size(label: str, counts: Iterable[int]) -> None:
+    """Raise StructureError once the running sum of counts, the axioms of
+    the builtin theory label, passes MAX_BUILTIN_AXIOMS; it stops there, so
+    an absurd size costs at most that many steps."""
+    total = 0
+    for c in counts:
+        total += c
+        if total > MAX_BUILTIN_AXIOMS:
+            raise StructureError(f"{label} would have more than {MAX_BUILTIN_AXIOMS} axioms")
+
+
+def _qcat_axiom_counts(n: int) -> list[int]:
+    """The axioms of qcat over n elements before deduplication: reflexivity,
+    at most n(n-1)/2 downward closures, transitivity and one sup per subset
+    (2**n, capped at an exponent that already passes any sane bound)."""
+    return [n, n * (n - 1) // 2, n * n, 2 ** min(n, 64)]
+
+
+def _spec_size(name: str, prefix: str) -> int:
+    try:
+        return int(name[len(prefix):-1])
+    except ValueError:
+        raise StructureError(f"{prefix}n) needs an integer n") from None
+
+
 def builtin_theory(name: str, q: HeytingAlgebra | None = None, n: int | None = None) -> HornTheory:
     """Builtin reflexive Horn theories: set, preord, pos, simp(n), qcat(Q).
 
-    Accepts "simp(2)" / "qchain(3)" style names; qcat over an explicit
-    lattice needs the q argument.
+    Accepts "simp(2)" / "qchain(3)" style names, or "qchain" with n; qcat
+    over an explicit lattice needs the q argument.  A theory that would have
+    more than MAX_BUILTIN_AXIOMS axioms raises StructureError before any
+    axiom is built.
     """
     name = name.strip()
     if name.startswith("simp(") and name.endswith(")"):
-        n = int(name[5:-1])
+        n = _spec_size(name, "simp(")
         name = "simp"
     if name.startswith("qchain(") and name.endswith(")"):
-        q = heyting_chain(int(name[7:-1]))
+        n = _spec_size(name, "qchain(")
+        name = "qchain"
+    if name == "qchain":
+        if n is None or n < 1:
+            raise StructureError("qchain needs a size n >= 1")
+        _check_size(f"qchain({n})", _qcat_axiom_counts(n))  # before the chain is built
+        q = heyting_chain(n)
         name = "qcat"
     if name == "set":
         return HornTheory(RelSignature(), (), name="set")
@@ -744,6 +905,10 @@ def builtin_theory(name: str, q: HeytingAlgebra | None = None, n: int | None = N
     if name == "simp":
         if n is None or n < 1:
             raise StructureError("simp needs a maximum arity n >= 1")
+        # n reflexivity axioms, then one per m <= n and map h : k -> m, k <= n
+        _check_size(f"simp({n})", itertools.chain(
+            [n], (m ** k for m in range(1, n + 1) for k in range(1, n + 1))
+        ))
         sig = RelSignature(tuple((f"R{k}", k) for k in range(1, n + 1)))
         axioms = [reflexivity_formula(f"R{k}", k) for k in range(1, n + 1)]
         for m in range(1, n + 1):
@@ -761,6 +926,7 @@ def builtin_theory(name: str, q: HeytingAlgebra | None = None, n: int | None = N
         if q is None:
             raise StructureError("qcat needs a Heyting algebra")
         elems = q.elements
+        _check_size(f"qcat over {len(elems)} elements", _qcat_axiom_counts(len(elems)))
         sig = RelSignature(tuple((q.rel_name(e), 2) for e in elems))
         axioms = [reflexivity_formula(q.rel_name(e), 2) for e in elems]
         # downward closure
@@ -778,9 +944,7 @@ def builtin_theory(name: str, q: HeytingAlgebra | None = None, n: int | None = N
             for subset in itertools.combinations(elems, r):
                 target = q.rel_name(q.join_of(subset))
                 prem = frozenset({(q.rel_name(e), ("v1", "v2")) for e in subset})
-                ax = HornFormula(prem, (target, ("v1", "v2")))
-                if ax not in axioms:
-                    axioms.append(ax)
+                axioms.append(HornFormula(prem, (target, ("v1", "v2"))))
         # reflexivity of the top relation (already present) and transitivity
         for a in elems:
             for b in elems:

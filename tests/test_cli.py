@@ -37,6 +37,14 @@ class TestExitCodes:
         assert code == 2
         assert "line 4" in err
 
+    @pytest.mark.parametrize("spec", ["simp(x)", "qchain()", "simp(0)", "simp(2"])
+    def test_malformed_builtin_theory_is_two(self, capsys, spec):
+        code, _, err = run(
+            capsys, "check-model", str(FIXTURES / "poset3.struct"), "--theory", spec
+        )
+        assert code == 2
+        assert spec in err
+
     def test_missing_file_is_two(self, capsys):
         code, _, err = run(capsys, "check-model", "/nonexistent.thy")
         assert code == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,15 @@ theory broken {
         with pytest.raises(DslError) as err:
             parse_theory(text)
         assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize("spec, col", [("simp(22)", 13), ("qchain(64)", 15)])
+    def test_oversized_builtin_fails_fast_at_its_size(self, spec, col):
+        start = time.perf_counter()
+        with pytest.raises(DslError) as err:
+            parse_theory(f"theory t {{\n  base {spec}\n  sort A\n}}")
+        assert time.perf_counter() - start < 1.0
+        assert (err.value.line, err.value.col) == (2, col)
+        assert "axioms" in err.value.message
 
 
 class TestTranslatedTheoriesRoundTrip:

@@ -19,9 +19,11 @@ from enrvar.relcore import (
     StructureError,
     builtin_theory,
     chase,
+    count_morphisms,
     curry,
     enumerate_morphisms,
     evaluation_table,
+    exp_edge_holds,
     exponential,
     heyting_chain,
     is_model,
@@ -274,6 +276,27 @@ class TestEnumerateMorphisms:
                 X = random_structure(rng, T.signature, 3)
                 Y = random_structure(rng, T.signature, 3)
                 assert enumerate_morphisms(X, Y) == brute_morphisms(X, Y)
+        # structures over the nullary, unary, binary (self-loops included)
+        # and ternary relations of _MIXED_SIG: on <= 2 elements, every choice
+        # of the lower-arity edges up to isomorphism with at most two ternary
+        # edges, each the source once against targets rotating through the
+        # same list; on <= 1 element, every pair
+        lower = RelSignature(tuple(s for s in _MIXED_SIG.symbols if s[1] < 3))
+        zoo = [
+            FinStructure(_MIXED_SIG, B.carrier, B.edges | frozenset(q))
+            for n in range(3)
+            for B in all_structures(lower, n)
+            for k in range(3)
+            for q in itertools.combinations(
+                [("Q", t) for t in itertools.product(B.carrier, repeat=3)], k
+            )
+        ]
+        small = [X for X in zoo if len(X.carrier) <= 1]
+        pairs = [(X, zoo[i * 7919 % len(zoo)]) for i, X in enumerate(zoo)]
+        for X, Y in pairs + list(itertools.product(small, repeat=2)):
+            expected = brute_morphisms(X, Y)
+            assert enumerate_morphisms(X, Y) == expected
+            assert count_morphisms(X, Y) == len(expected)
 
 
 class TestExponential:
@@ -297,6 +320,44 @@ class TestExponential:
             for X, Y in itertools.product(zoo, repeat=2):
                 E = exponential(X, Y, T)
                 assert len(E.carrier) == len(enumerate_morphisms(X, Y))
+
+    def test_edges_agree_with_brute_filter(self):
+        for name in ("set", "preord", "pos", "simp(2)", "qchain(3)"):
+            T = builtin_theory(name)
+            zoo = models_up_to(T, 2)
+            for X, Y in itertools.product(zoo, repeat=2):
+                E = exponential(X, Y, T)
+                assert list(E.carrier) == [
+                    tuple(f[x] for x in X.carrier) for f in brute_morphisms(X, Y)
+                ]
+                assert E.edges == {
+                    (rel, fs)
+                    for rel, ar in T.signature.symbols
+                    for fs in itertools.product(E.carrier, repeat=ar)
+                    if exp_edge_holds(X, Y, rel, fs)
+                }
+
+    def test_edge_search_agrees_with_brute_filter_off_models(self):
+        # in a model every nullary edge is present, so the nullary and
+        # ternary branches of the edge search are also run on structures over
+        # _MIXED_SIG on <= 2 elements, into targets dense enough for several
+        # morphisms
+        rng = random.Random(7)
+        for _ in range(300):
+            X = random_structure(rng, _MIXED_SIG, 2)
+            Y = FinStructure(_MIXED_SIG, ("y0", "y1"), frozenset(
+                (rel, t)
+                for rel, ar in _MIXED_SIG.symbols
+                for t in itertools.product(("y0", "y1"), repeat=ar)
+                if rng.random() < 0.8
+            ))
+            homs = [tuple(f[x] for x in X.carrier) for f in brute_morphisms(X, Y)]
+            assert relcore._exponential_edges(X, Y, homs) == [
+                (rel, fs)
+                for rel, ar in _MIXED_SIG.symbols
+                for fs in itertools.product(homs, repeat=ar)
+                if exp_edge_holds(X, Y, rel, fs)
+            ]
 
     def test_eval_is_a_morphism(self, chain2, chain3):
         E = exponential(chain2, chain3, POS)
