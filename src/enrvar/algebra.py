@@ -6,6 +6,7 @@ induced ordinary symbol as an explicit function table over ordered carriers.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -16,6 +17,8 @@ from .relcore import (
     HornTheory,
     SignatureMismatch,
     StructureError,
+    _product_on,
+    _sortwise_search,
     as_image_tuple,
     enumerate_morphisms,
     exp_edge_holds,
@@ -244,10 +247,40 @@ def hom_family(
     return product(exps, signature=base.signature)
 
 
-def family_maps(elem: tuple, X: Mapping[str, FinStructure], sorts: SortSet) -> dict:
-    return {
-        s: dict(zip(X[s].carrier, elem[i])) for i, s in enumerate(sorts.sorts)
-    }
+def _hom_structure(
+    X: Mapping[str, FinStructure],
+    Y: Mapping[str, FinStructure],
+    base: HornTheory,
+    sorts: SortSet,
+    funcs: Iterable,
+) -> FinStructure:
+    """The substructure of hom_family(X, Y, base, sorts) on the families that
+    satisfy the functional constraints funcs, found by one search over
+    sortwise maps.  Variables are (sort, element) pairs in sort order, then
+    carrier order, numbered as in _var_index; each (fn, entries) in funcs
+    asks, for every (args, r) in entries, that the family sends variable r
+    to fn of its images of the variables args.  The families come out in the
+    carrier order of hom_family, and the edges are those of the product of
+    the per-sort exponentials."""
+    Xs = [X[s] for s in sorts.sorts]
+    Ys = [Y[s] for s in sorts.sorts]
+    exps = [exponential(A, B, base) for A, B in zip(Xs, Ys)]
+    flat: list = []
+    _sortwise_search(Xs, Ys, funcs, flat)
+    cuts = list(itertools.accumulate([0] + [len(A.carrier) for A in Xs]))
+    spans = list(zip(cuts, cuts[1:]))
+    fams = [tuple([image[i:j] for i, j in spans]) for image in flat]
+    return _product_on(exps, base.signature, fams)
+
+
+def _var_index(X: Mapping[str, FinStructure], sorts: SortSet) -> dict[str, dict]:
+    """Per sort, the search variable of each carrier element in _hom_structure."""
+    out: dict[str, dict] = {}
+    k = 0
+    for s in sorts.sorts:
+        out[s] = {x: k + i for x, i in X[s].index.items()}
+        k += len(X[s].carrier)
+    return out
 
 
 def validate_ops(sig: EnrichedSignature, carrier, interp) -> list[str]:
@@ -380,17 +413,26 @@ def is_homomorphism(f: Mapping[str, Mapping], A: Algebra, B: Algebra) -> bool:
 
 
 def hom_object(A: Algebra, B: Algebra) -> FinStructure:
-    """Substructure of the sortwise hom family on exactly the homomorphisms."""
+    """Substructure of the sortwise hom family on exactly the homomorphisms,
+    in its carrier order.  One search over sortwise maps finds them: every
+    table entry op(x1, ..., xn) = y of A asks that the image of y be B's op
+    at the images of the xi (see _hom_structure)."""
     sig = A.signature
-    fam = hom_family(A.carrier, B.carrier, sig.base, sig.sorts)
-    keep = [
-        elem
-        for elem in fam.carrier
-        if is_homomorphism(family_maps(elem, A.carrier, sig.sorts), A, B)
-    ]
-    from .relcore import induced_substructure
-
-    return induced_substructure(fam, keep)
+    if B.signature != sig:
+        raise SignatureMismatch("homomorphism endpoints use different signatures")
+    var = _var_index(A.carrier, sig.sorts)
+    funcs = []
+    for op in sig.ops:
+        ins = [var[s] for s in op.inputs.flat_sorts()]
+        out = var[op.output]
+        for p in op.param.carrier:
+            name = classical_symbol(op, p)
+            entries = [
+                (tuple([v[x] for v, x in zip(ins, point)]), out[y])
+                for point, y in A.interp[name].items()
+            ]
+            funcs.append((B.interp[name].__getitem__, entries))
+    return _hom_structure(A.carrier, B.carrier, sig.base, sig.sorts, funcs)
 
 
 # -- exhaustive algebra enumeration ---------------------------------------------

@@ -49,6 +49,12 @@ from .syntax import (
 )
 
 
+# The deepest nesting of a term that the parser accepts: the passes that walk
+# terms recurse once per level, and a deeper term would exhaust the
+# interpreter's recursion limit in them.
+MAX_TERM_DEPTH = 100
+
+
 class DslError(Exception):
     def __init__(self, message: str, line: int = 0, col: int = 0):
         super().__init__(f"line {line}, col {col}: {message}" if line else message)
@@ -476,10 +482,12 @@ class _Parser:
         return entries
 
     # raw term trees: (name, param-or-None, args tuple) with vars resolved later
-    def parse_term(self):
+    def parse_term(self, depth: int = 0):
         t = self.peek()
         if t.kind != "IDENT":
             self.fail("expected a term")
+        if depth > MAX_TERM_DEPTH:
+            self.fail(f"term nests deeper than {MAX_TERM_DEPTH}")
         name = self.next().value
         param = None
         if self.peek().kind == "AT":
@@ -490,7 +498,7 @@ class _Parser:
             self.next()
             args = []
             while self.peek().kind != "RPAREN":
-                args.append(self.parse_term())
+                args.append(self.parse_term(depth + 1))
                 self.skip_separators()
             self.next()
         return (name, param, args, t)

@@ -19,6 +19,8 @@ from .algebra import (
     EnrichedTheory,
     OpDecl,
     Theory,
+    _hom_structure,
+    _var_index,
     classical_symbol,
     classical_symbols,
     context_power,
@@ -35,7 +37,6 @@ from .relcore import (
     as_image_tuple,
     chase,
     enumerate_morphisms,
-    induced_substructure,
     is_pi_morphism,
     relabel,
     render_id,
@@ -355,8 +356,11 @@ def enumerate_tj_algebras(
     budget: Budget | int | None = None,
 ) -> list[TjAlgebra]:
     """All algebras for the truncation on the fixed carrier, by slotwise
-    backtracking with the unit law folded into candidate generation and the
-    other laws checked as soon as their slots are assigned."""
+    backtracking with the unit law folded into candidate generation.  An
+    admissibility edge is checked at the last of its slots, and an instance
+    of the extension law once, when the second of its two slots is assigned:
+    it is watched on its slot (K, x), and from there on the slot (J, x')
+    that the value at (K, x) determines."""
     bgt = ensure_budget(budget)
     sorts = M.sorts.sorts
     carrier = dict(carrier)
@@ -396,45 +400,53 @@ def enumerate_tj_algebras(
         hom_cod[J] = hom_family(M.obj[J], carrier, M.base, M.sorts)
         for rel in M.base.signature.names:
             for tup in dom.edges_by_rel[rel]:
-                adm_at[max(slot_pos[(J, x)] for x in tup)].append((J, rel, tup))
+                where = tuple(slot_pos[(J, x)] for x in tup)
+                adm_at[max(where)].append((J, rel, where))
 
-    # extension-law instances
-    instances = []
+    # extension-law instances (J, K, k, x), watched on the slot (K, x): once
+    # it is assigned, x' is known and the instance is checked against the
+    # slot (J, x') if that is assigned, else watched there.  An instance is
+    # thus checked exactly when it becomes decidable.  Per instance: the
+    # candidate positions of x' per sort, and the (sort, K-position,
+    # J-position) pairs the law compares.
+    on_k: list[list[tuple[Arity, tuple, tuple]]] = [[] for _ in slots]
     for J, K in itertools.product(M.arities, repeat=2):
         for k in all_maps_into(J, M.obj[K], M.sorts):
             kstar = M.ext[(J, K, k)]
+            xpos = tuple(
+                tuple(M.obj[K][s].index[x] for x in block) for s, block in zip(sorts, k)
+            )
+            pairs = tuple(
+                (sidx, M.obj[K][s].index[kstar[s][p]], M.obj[J][s].index[p])
+                for sidx, s in enumerate(sorts)
+                for p in M.obj[J][s].carrier
+            )
             for x in all_maps_into(K, carrier, M.sorts):
-                instances.append((J, K, k, kstar, x))
+                on_k[slot_pos[(K, x)]].append((J, xpos, pairs))
+    on_j: list[list[tuple[int, tuple]]] = [[] for _ in slots]  # (K-slot, pairs)
 
-    assigned: dict[tuple[Arity, KRep], tuple] = {}
+    value: list = [None] * len(slots)
     out: list[TjAlgebra] = []
 
-    def value(J: Arity, x: KRep, s_idx: int, p) -> object:
-        return assigned[(J, x)][s_idx][M.obj[J][sorts[s_idx]].index[p]]
-
-    def instance_ok(J, K, k, kstar, x) -> bool | None:
-        """True/False when decidable with the current assignment, else None."""
-        if (K, x) not in assigned:
-            return None
-        xprime = tuple(
-            tuple(
-                value(K, x, M.sorts.position[s], k[M.sorts.position[s]][j])
-                for j in range(M.count(J, s))
-            )
-            for s in sorts
-        )
-        if (J, xprime) not in assigned:
-            return None
-        for s_idx, s in enumerate(sorts):
-            for p in M.obj[J][s].carrier:
-                if value(K, x, s_idx, kstar[s][p]) != value(J, xprime, s_idx, p):
-                    return False
+    def laws_hold(i: int, cand: tuple, watched: list) -> bool:
+        for ki, pairs in on_j[i]:
+            kc = value[ki]
+            if any(kc[s][a] != cand[s][b] for s, a, b in pairs):
+                return False
+        for J, xpos, pairs in on_k[i]:
+            xprime = tuple(tuple(cand[sidx][q] for q in qs) for sidx, qs in enumerate(xpos))
+            j = slot_pos[(J, xprime)]
+            if j > i:
+                on_j[j].append((i, pairs))
+                watched.append(j)
+            elif any(cand[s][a] != value[j][s][b] for s, a, b in pairs):
+                return False
         return True
 
     def rec(i: int):
         if i == len(slots):
             structure: dict[Arity, dict[KRep, tuple]] = {J: {} for J in M.arities}
-            for (J, x), val in assigned.items():
+            for (J, x), val in zip(slots, value):
                 structure[J][x] = val
             out.append(TjAlgebra(carrier, structure))
             return
@@ -445,22 +457,17 @@ def enumerate_tj_algebras(
                 cand[sidx][pos] != x[sidx][j] for sidx, pos, j in eta_positions[J]
             ):
                 continue
-            assigned[(J, x)] = cand
-            ok = True
-            for aj, rel, tup in adm_at[i]:
-                fam = tuple(assigned[(aj, xx)] for xx in tup)
-                if (rel, fam) not in hom_cod[aj].edges:
-                    ok = False
-                    break
-            if ok:
-                for inst in instances:
-                    res = instance_ok(*inst)
-                    if res is False:
-                        ok = False
-                        break
-            if ok:
+            value[i] = cand
+            ok = all(
+                (rel, tuple(value[q] for q in where)) in hom_cod[aj].edges
+                for aj, rel, where in adm_at[i]
+            )
+            watched: list[int] = []
+            if ok and laws_hold(i, cand, watched):
                 rec(i + 1)
-            del assigned[(J, x)]
+            for j in watched:
+                on_j[j].pop()
+        value[i] = None
 
     rec(0)
     return out
@@ -553,16 +560,24 @@ def _algebra_hom_structure(A: Algebra, B: Algebra) -> FinStructure:
 
 
 def _tj_hom_structure(M: RelMonadData, A: TjAlgebra, B: TjAlgebra) -> FinStructure:
-    fam = hom_family(A.carrier, B.carrier, M.base, M.sorts)
-    keep = []
-    for elem in fam.carrier:
-        maps = {
-            s: dict(zip(A.carrier[s].carrier, elem[i]))
-            for i, s in enumerate(M.sorts.sorts)
-        }
-        if _is_tj_morphism(M, maps, A, B):
-            keep.append(elem)
-    return induced_substructure(fam, keep)
+    """Substructure of the sortwise hom family on exactly the morphisms of
+    truncation algebras (_is_tj_morphism), in its carrier order, found by
+    the search of hom_object.  The constraints come from the structure maps,
+    not from their unfolded tables: for every arity J, map x : J -> A, sort
+    s and point p of TJ_s, the image of A's component at (J, s, p, x) is
+    B's component at (J, s, p) of the image of x."""
+    sorts = M.sorts.sorts
+    var = _var_index(A.carrier, M.sorts)
+    funcs = []
+    for J in M.arities:
+        xs = all_maps_into(J, A.carrier, M.sorts)
+        args = [tuple(var[s][v] for s, block in zip(sorts, x) for v in block) for x in xs]
+        for s in sorts:
+            for p in M.obj[J][s].carrier:
+                entries = [(a, var[s][A.component(M, J, s, p, x)]) for a, x in zip(args, xs)]
+                fn = lambda image, J=J, s=s, p=p: B.component(M, J, s, p, _regroup(M, J, image))
+                funcs.append((fn, entries))
+    return _hom_structure(A.carrier, B.carrier, M.base, M.sorts, funcs)
 
 
 def _is_tj_morphism(M: RelMonadData, f: Mapping[str, Mapping], A: TjAlgebra, B: TjAlgebra) -> bool:

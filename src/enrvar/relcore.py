@@ -197,10 +197,15 @@ class HornTheory:
 
 
 def _same_signature(*objs) -> RelSignature:
-    sigs = {o.signature for o in objs}
-    if len(sigs) != 1:
+    """The one signature of the operands; operands that hold the same
+    RelSignature object are accepted without comparing or hashing it."""
+    if not objs:
         raise SignatureMismatch("operands use different relational signatures")
-    return next(iter(sigs))
+    sig = objs[0].signature
+    for o in objs[1:]:
+        if o.signature is not sig and o.signature != sig:
+            raise SignatureMismatch("operands use different relational signatures")
+    return sig
 
 
 def _check_total(f: Mapping, domain: Iterable, Y: FinStructure) -> None:
@@ -501,11 +506,44 @@ def pairing(fs: list[Mapping], Z: FinStructure) -> dict:
     return {z: tuple(f[z] for f in fs) for z in Z.carrier}
 
 
-def induced_substructure(X: FinStructure, keep: Iterable) -> FinStructure:
-    kept = [x for x in X.carrier if x in set(keep)]
-    kset = set(kept)
-    edges = frozenset(e for e in X.edges if all(x in kset for x in e[1]))
-    return FinStructure(X.signature, tuple(kept), edges)
+def _product_on(family: list[FinStructure], signature: RelSignature, carrier: list) -> FinStructure:
+    """The substructure of product(family, signature) on carrier, a list of
+    its elements, without building the product: a tuple of elements is an
+    edge iff its components are one in every factor.  For binary R a set of
+    elements is a bit mask over carrier, and the row of p is the AND, over
+    the factors, of the elements whose component is an R-successor of p's;
+    any other R tests every tuple of elements."""
+    n = len(carrier)
+    comp = [[F.index[e[i]] for e in carrier] for i, F in enumerate(family)]
+    at = []  # per factor: component index -> the elements with that component
+    for cs in comp:
+        masks: dict = {}
+        for p, c in enumerate(cs):
+            masks[c] = masks.get(c, 0) | 1 << p
+        at.append(masks)
+    edges: list = []
+    for rel, ar in signature.symbols:
+        if ar != 2:
+            edges.extend(
+                (rel, t)
+                for t in itertools.product(carrier, repeat=ar)
+                if all((rel, tuple([e[i] for e in t])) in F.edges for i, F in enumerate(family))
+            )
+            continue
+        row = [(1 << n) - 1] * n
+        for F, cs, masks in zip(family, comp, at):
+            succ = F.rows[rel][0]
+            # the masks are disjoint, so their sum is their union
+            after = {c: sum(m for d, m in masks.items() if succ[c] >> d & 1) for c in masks}
+            for p, c in enumerate(cs):
+                row[p] &= after[c]
+        edges.extend(
+            (rel, (x, y))
+            for p, x in enumerate(carrier)
+            for q, y in enumerate(carrier)
+            if row[p] >> q & 1
+        )
+    return FinStructure(signature, tuple(carrier), frozenset(edges))
 
 
 def relabel(X: FinStructure, mapping: Mapping) -> FinStructure:
@@ -574,32 +612,35 @@ def _search(values, doms: list, fwd: list, checks: list, out: list | None = None
     return total
 
 
-def _morphism_search(X: FinStructure, Y: FinStructure, out: list | None = None) -> int:
-    """_search over the carrier of X with candidate images in Y: a self-loop
-    or a unary edge narrows a domain once, every other binary edge links its
-    earlier element to its later one, and a nullary or wider edge is a
-    membership test at its last element."""
-    _same_signature(X, Y)
+def _constrain(X: FinStructure, Y: FinStructure, base: int, off: int,
+               doms: list, fwd: list, checks: list) -> bool:
+    """Add to a _search the constraints of a morphism X -> Y, with the i-th
+    element of X as variable base + i and the j-th element of Y as bit
+    off + j: a self-loop or a unary edge narrows a domain once, every other
+    binary edge links its earlier element to its later one, and a nullary or
+    wider edge is a membership test at its last element.  False when a
+    nullary edge of X is missing from Y."""
     idx = X.index
-    n = len(X.carrier)
     rows = Y.rows
-    doms = [(1 << len(Y.carrier)) - 1] * n
-    fwd: list[list] = [[] for _ in range(n)]
-    checks: list[list] = [[] for _ in range(n)]
     for rel, ar in X.signature.symbols:
         xs = X.edges_by_rel[rel]
         if not xs:
             continue
         if ar == 0:
             if (rel, ()) not in Y.edges:
-                return 0
+                return False
         elif ar == 1:
+            m = rows[rel] << off
             for (a,) in xs:
-                doms[idx[a]] &= rows[rel]
+                doms[base + idx[a]] &= m
         elif ar == 2:
             succ, pred, loops = rows[rel]
+            if off:
+                succ = [0] * off + [r << off for r in succ]
+                pred = [0] * off + [r << off for r in pred]
+                loops <<= off
             for a, b in xs:
-                i, j = idx[a], idx[b]
+                i, j = base + idx[a], base + idx[b]
                 if i == j:
                     doms[i] &= loops
                 elif i < j:
@@ -608,10 +649,79 @@ def _morphism_search(X: FinStructure, Y: FinStructure, out: list | None = None) 
                     fwd[j].append((i, pred))
         else:
             for tup in xs:
-                ps = tuple(idx[x] for x in tup)
+                ps = tuple(base + idx[x] for x in tup)
                 checks[max(ps)].append(
                     lambda image, rel=rel, ps=ps: (rel, tuple([image[i] for i in ps])) in Y.edges
                 )
+    return True
+
+
+def _sortwise_search(Xs: list, Ys: list, funcs, out: list | None = None) -> int:
+    """_search over the families of morphisms Xs[s] -> Ys[s], one per sort.
+    The variables are the elements of Xs[0] in carrier order, then those of
+    Xs[1], and so on; the values are the carriers of the Ys in one list, each
+    sort at its own bit offset.  Solutions come out as flat image tuples, in
+    lexicographic order.
+
+    Each (fn, entries) in funcs is a functional constraint: for every (args,
+    r) in entries, the image of variable r equals fn of the tuple of images
+    of the variables args.  A nullary entry narrows r's domain to one bit; a
+    unary one links its argument to r by a row of fn (a reverse row when r
+    comes first), or narrows r to the fixed points of fn when the argument
+    is r itself; a wider one is a test at its last variable."""
+    _same_signature(*Xs, *Ys)
+    n = sum([len(X.carrier) for X in Xs])
+    fwd: list[list] = [[] for _ in range(n)]
+    checks: list[list] = [[] for _ in range(n)]
+    doms: list = []
+    values: list = []
+    seg: list = []  # per variable: its sort's bit offset and target
+    for X, Y in zip(Xs, Ys):
+        base, off = len(doms), len(values)
+        doms += [((1 << len(Y.carrier)) - 1) << off] * len(X.carrier)
+        values += Y.carrier
+        if not _constrain(X, Y, base, off, doms, fwd, checks):
+            return 0
+        if funcs:
+            seg += [(off, Y)] * len(X.carrier)
+    for fn, entries in funcs:
+        imgs: dict = {}  # by argument and result bit offsets: fn's image index per argument
+        for args, r in entries:
+            out_off, Yr = seg[r]
+            if len(args) == 1:
+                (a,) = args
+                in_off, Ya = seg[a]
+                img = imgs.get((in_off, out_off))
+                if img is None:
+                    img = imgs[in_off, out_off] = [Yr.index[fn((y,))] for y in Ya.carrier]
+                if a == r:
+                    doms[r] &= sum(1 << (in_off + i) for i, j in enumerate(img) if i == j)
+                elif a < r:
+                    fwd[a].append((r, [0] * in_off + [1 << (out_off + j) for j in img]))
+                else:
+                    rev = [0] * (out_off + len(Yr.carrier))
+                    for i, j in enumerate(img):
+                        rev[out_off + j] |= 1 << (in_off + i)
+                    fwd[r].append((a, rev))
+            elif args:
+                checks[max(max(args), r)].append(
+                    lambda image, args=args, r=r, fn=fn: image[r] == fn(tuple([image[i] for i in args]))
+                )
+            else:
+                doms[r] &= 1 << (out_off + Yr.index[fn(())])
+    return _search(values, doms, fwd, checks, out)
+
+
+def _morphism_search(X: FinStructure, Y: FinStructure, out: list | None = None) -> int:
+    """The morphisms X -> Y: the one-sort case of _sortwise_search, without
+    its bookkeeping of offsets and functional constraints."""
+    _same_signature(X, Y)
+    n = len(X.carrier)
+    doms = [(1 << len(Y.carrier)) - 1] * n
+    fwd: list[list] = [[] for _ in range(n)]
+    checks: list[list] = [[] for _ in range(n)]
+    if not _constrain(X, Y, 0, 0, doms, fwd, checks):
+        return 0
     return _search(Y.carrier, doms, fwd, checks, out)
 
 

@@ -22,6 +22,7 @@ from enrvar.algebra import (
     satisfies_equation,
     satisfies_relation,
     satisfies_theory,
+    theory_parts,
     underlying_classical,
     validate_algebra,
 )
@@ -30,8 +31,11 @@ from enrvar.relcore import (
     FinStructure,
     builtin_theory,
     enumerate_morphisms,
+    SignatureMismatch,
     terminal,
 )
+from enrvar.dsl import parse_theory
+from enrvar.isoenum import model_families
 from enrvar.syntax import (
     App,
     Arity,
@@ -43,7 +47,7 @@ from enrvar.syntax import (
     canonical_context,
 )
 
-from conftest import poset
+from conftest import FIXTURES, poset
 from oracles import plain_enumerate_algebras
 
 POS = builtin_theory("pos")
@@ -273,6 +277,91 @@ class TestHomObject:
         A_flat = Algebra(flat_sig, carrier, dict(A.interp))
         assert hom_object(A, A).carrier == hom_object(A_flat, A_flat).carrier
         assert hom_object(A, A).edges == hom_object(A_flat, A_flat).edges
+
+
+def brute_hom_object(A, B):
+    """Carrier and edges of hom_object(A, B) by filtering hom_family with
+    is_homomorphism."""
+    sig = A.signature
+    fam = hom_family(A.carrier, B.carrier, sig.base, sig.sorts)
+    keep = [
+        e
+        for e in fam.carrier
+        if is_homomorphism(
+            {s: dict(zip(A.carrier[s].carrier, e[i])) for i, s in enumerate(sig.sorts.sorts)},
+            A,
+            B,
+        )
+    ]
+    kept = set(keep)
+    return tuple(keep), frozenset(e for e in fam.edges if kept.issuperset(e[1]))
+
+
+# two sorts over pos: cross-sort unary ops both ways, a constant and a mixed
+# binary op, so that the second sort's order rows sit at a bit offset
+SECTIONS = """theory sections {
+  base pos
+  sort M X
+  op h : M -> X
+  op k : X -> M
+  op c : -> M
+  op m : M X -> X
+  eq hk [x: X] : h(k(x)) == x
+  eq mc [x: X] : m(c, x) == x
+}"""
+
+
+class TestHomObjectAgainstBruteFilter:
+    @pytest.mark.parametrize(
+        "fixture, bound",
+        [
+            ("sections", 2),
+            ("monoid.thy", 3),  # set: binary and nullary ops
+            ("pointed.thy", 3),  # set: a constant
+            ("involution.thy", 3),  # set: a unary op
+            ("mon_act.thy", 2),  # set, two sorts: an action M X -> X
+            ("ordered_band.thy", 2),  # preord: a binary op
+            ("scaled_monoid.thy", 2),  # pos: act indexed by chain(2)
+            ("two_chains.thy", 2),  # pos: two unary ops and a constant
+            ("deflationary.thy", 3),  # pos: a unary op
+            ("simp_cone.thy", 2),  # simp(2): unary and binary relations
+            ("qcat_close.thy", 2),  # qcat: three binary relations
+        ],
+    )
+    def test_every_pair_of_algebras(self, fixture, bound):
+        text = SECTIONS if fixture == "sections" else (FIXTURES / fixture).read_text()
+        T = next(iter(parse_theory(text).theories.values()))
+        sig = theory_parts(T)[0]
+        algs = [
+            A
+            for fam in model_families(sig.base, sig.sorts, bound)
+            for A in enumerate_algebras(T, fam)
+        ]
+        assert len(algs) > 1
+        for A, B in itertools.product(algs, repeat=2):
+            H = hom_object(A, B)
+            assert (H.carrier, H.edges) == brute_hom_object(A, B)
+
+    def test_no_homomorphism(self):
+        # h(c) = c forces h(1) = f(h(0)) = 1, then h(0) = f(h(1)) = 1 != c
+        SA = SortSet(("A",))
+        sig = ordinary_signature(SA, SET, [("c", Arity.of(SA, {}), "A"), ("f", Arity.of(SA, {"A": 1}), "A")])
+        X = FinStructure(SET.signature, ("0", "1"), frozenset())
+        A = Algebra(sig, {"A": X}, {"c": {(): "0"}, "f": {("0",): "1", ("1",): "0"}})
+        B = Algebra(sig, {"A": X}, {"c": {(): "0"}, "f": {("0",): "1", ("1",): "1"}})
+        H = hom_object(A, B)
+        assert H.carrier == () and H.edges == frozenset()
+        assert (H.carrier, H.edges) == brute_hom_object(A, B)
+
+    def test_signature_mismatch_is_raised_without_any_morphism(self):
+        # no map at all from a non-empty carrier to an empty one
+        A = max_monoid(2)
+        B = Algebra(EnrichedSignature(S, POS, ()), {"M": poset((), [])}, {})
+        assert hom_family(A.carrier, B.carrier, POS, S).carrier == ()
+        with pytest.raises(SignatureMismatch):
+            hom_object(A, B)
+        with pytest.raises(SignatureMismatch):
+            hom_object(B, A)
 
 
 class TestEnumerateAlgebras:

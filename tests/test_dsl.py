@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import random
+import signal
 import time
 from pathlib import Path
 
 import pytest
 
 from enrvar.algebra import ClassicalTheoryWithRelations, EnrichedTheory, theory_parts
-from enrvar.dsl import DslError, TheoryFile, parse_theory, print_theory
+from enrvar.dsl import MAX_TERM_DEPTH, DslError, TheoryFile, parse_theory, print_theory
+from enrvar.syntax import SortError
 from enrvar.translate import (
     cpo_classical_to_enriched,
     cpo_enriched_to_classical,
@@ -134,6 +137,84 @@ theory broken {
         assert time.perf_counter() - start < 1.0
         assert (err.value.line, err.value.col) == (2, col)
         assert "axioms" in err.value.message
+
+
+    def test_deep_term_fails_at_the_level_past_the_cap(self):
+        def text(depth):
+            term = "f(" * depth + "x" + ")" * depth
+            return f"theory t {{\n  base set\n  sort A\n  op f : A -> A\n  eq e [x: A] : {term} == x\n}}"
+
+        parse_theory(text(MAX_TERM_DEPTH))
+        for depth in (MAX_TERM_DEPTH + 1, 5000):
+            with pytest.raises(DslError) as err:
+                parse_theory(text(depth))
+            # the (MAX_TERM_DEPTH + 1)-th argument, after "  eq e [x: A] : "
+            assert (err.value.line, err.value.col) == (5, 17 + 2 * (MAX_TERM_DEPTH + 1))
+            assert "nests deeper" in err.value.message
+
+
+# Byte mutations of the fixtures: deletions, inserted punctuation, digits and
+# letters, arbitrary bytes, copied spans and one span repeated many times.
+FUZZ_BYTES = b"(){}[],:;=<>|-#@~. \n0123456789aAfxz_"
+FUZZ_SEED = 20261019
+FUZZ_INPUTS = 10000
+FUZZ_BOUND_S = 2.0  # per input
+
+
+def fuzz_inputs(seed: int, count: int):
+    rng = random.Random(seed)
+    sources = [p.read_bytes() for p in sorted(FIXTURES.glob("*.thy"))]
+    for _ in range(count):
+        data = bytearray(rng.choice(sources))
+        for _ in range(rng.randint(1, 4)):
+            i = rng.randrange(len(data) + 1)
+            kind = rng.randrange(5)
+            if kind == 0:
+                del data[i:i + rng.randint(1, 8)]
+            elif kind == 1:
+                data[i:i] = bytes([rng.choice(FUZZ_BYTES)])
+            elif kind == 2:
+                data[i:i + 1] = bytes([rng.randrange(256)])
+            elif kind == 3:
+                j = rng.randrange(len(data) + 1)
+                data[i:i] = data[min(i, j):max(i, j)][:40]
+            else:
+                data[i:i] = data[i:i + rng.randint(1, 4)] * rng.randint(2, 300)
+        yield bytes(data).decode("utf-8", errors="replace")
+
+
+class _Overran(Exception):
+    pass
+
+
+class TestFuzz:
+    def test_mutated_fixtures_fail_only_with_diagnostics_in_bounded_time(self):
+        def overran(signum, frame):
+            raise _Overran
+
+        timed = hasattr(signal, "setitimer")
+        if timed:
+            previous = signal.signal(signal.SIGALRM, overran)
+        try:
+            for n, text in enumerate(fuzz_inputs(FUZZ_SEED, FUZZ_INPUTS)):
+                if timed:
+                    signal.setitimer(signal.ITIMER_REAL, FUZZ_BOUND_S)
+                start = time.perf_counter()
+                try:
+                    parse_theory(text)
+                except (DslError, SortError):
+                    pass
+                except _Overran:
+                    pytest.fail(f"input {n} ran past {FUZZ_BOUND_S} s: {text!r}")
+                except Exception as e:
+                    pytest.fail(f"{type(e).__name__} escaped on input {n}: {e}\n{text!r}")
+                finally:
+                    if timed:
+                        signal.setitimer(signal.ITIMER_REAL, 0)
+                assert time.perf_counter() - start < FUZZ_BOUND_S, f"input {n}: {text!r}"
+        finally:
+            if timed:
+                signal.signal(signal.SIGALRM, previous)
 
 
 class TestTranslatedTheoriesRoundTrip:

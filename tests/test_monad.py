@@ -6,13 +6,18 @@ import pytest
 
 from enrvar.algebra import (
     enumerate_algebras,
+    hom_family,
     ordinary_signature,
     satisfies_theory,
 )
 from enrvar.dsl import parse_theory
+from enrvar.budget import Budget
+from enrvar.isoenum import model_families
 from enrvar.monad import (
     RelMonadData,
     TjAlgebra,
+    _is_tj_morphism,
+    _tj_hom_structure,
     all_maps_into,
     arity_object,
     check_relative_monad,
@@ -31,6 +36,7 @@ from enrvar.syntax import App, Arity, Context, Equation, SortSet, Var, canonical
 from enrvar.translate import verify_theory_equivalence
 
 from conftest import FIXTURES
+from oracles import brute_morphisms
 
 SET = builtin_theory("set")
 S = SortSet(("A",))
@@ -183,6 +189,100 @@ class TestTjAlgebras:
         )
         bad_structure[J1][x0] = flipped
         assert not is_tj_algebra(TjAlgebra(good.carrier, bad_structure), M)
+
+
+def brute_tj_algebras(M, carrier):
+    """Every choice of a sortwise morphism family TJ -> A for each slot
+    (J, x), slots and candidates in the order of enumerate_tj_algebras,
+    filtered by is_tj_algebra."""
+    sorts = M.sorts.sorts
+    slots = [(J, x) for J in M.arities for x in all_maps_into(J, carrier, M.sorts)]
+    cands = {
+        J: list(itertools.product(*[
+            [tuple(f[p] for p in M.obj[J][s].carrier) for f in brute_morphisms(M.obj[J][s], carrier[s])]
+            for s in sorts
+        ]))
+        for J in M.arities
+    }
+    out = []
+    for choice in itertools.product(*(cands[J] for J, _ in slots)):
+        structure = {J: {} for J in M.arities}
+        for (J, x), value in zip(slots, choice):
+            structure[J][x] = value
+        A = TjAlgebra(dict(carrier), structure)
+        if is_tj_algebra(A, M):
+            out.append(A)
+    return out
+
+
+def brute_tj_hom_structure(M, A, B):
+    """Carrier and edges of _tj_hom_structure by filtering hom_family with
+    _is_tj_morphism."""
+    fam = hom_family(A.carrier, B.carrier, M.base, M.sorts)
+    keep = [
+        e
+        for e in fam.carrier
+        if _is_tj_morphism(
+            M, {s: dict(zip(A.carrier[s].carrier, e[i])) for i, s in enumerate(M.sorts.sorts)}, A, B
+        )
+    ]
+    kept = set(keep)
+    return tuple(keep), frozenset(e for e in fam.edges if kept.issuperset(e[1]))
+
+
+TRUNCATION_CASES = [
+    (make, base, counts)
+    for make in (identity_truncation, exception_truncation)
+    for base in ("set", "pos")
+    for counts in ((0, 1), (1, 2), (0, 1, 2))
+]
+
+
+class TestTjAgainstBruteFilters:
+    @pytest.mark.parametrize(
+        "make, base, counts",
+        # the exception truncation's product grows fastest: 65,536 choices on
+        # two elements for the arities 1 and 2
+        [
+            c for c in TRUNCATION_CASES
+            if c[0] is identity_truncation or c[2] == (0, 1) or c[1:] == ("set", (1, 2))
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_enumeration_is_the_filtered_product_in_order(self, make, base, counts):
+        T = builtin_theory(base)
+        M = make(T, S, [Arity.of(S, {"A": k} if k else {}) for k in counts])
+        for fam in model_families(T, S, 2):
+            got = [A.structure for A in enumerate_tj_algebras(M, fam)]
+            assert got == [A.structure for A in brute_tj_algebras(M, fam)]
+
+    @pytest.mark.parametrize(
+        "make, base, counts", TRUNCATION_CASES, ids=lambda v: getattr(v, "__name__", str(v))
+    )
+    def test_hom_structure_is_the_filtered_hom_family(self, make, base, counts):
+        T = builtin_theory(base)
+        M = make(T, S, [Arity.of(S, {"A": k} if k else {}) for k in counts])
+        algs = [A for fam in model_families(T, S, 3 if base == "set" else 2)
+                for A in enumerate_tj_algebras(M, fam)]
+        assert len(algs) > 1
+        for A, B in itertools.product(algs, repeat=2):
+            H = _tj_hom_structure(M, A, B)
+            assert (H.carrier, H.edges) == brute_tj_hom_structure(M, A, B)
+
+    @pytest.mark.parametrize(
+        "make, used",
+        [(identity_truncation, [1, 3, 21, 91]), (exception_truncation, [0, 3, 82, 813])],
+    )
+    def test_budget_charges_are_unchanged(self, make, used):
+        # one charge per candidate tried, pinned from the search that
+        # re-checked every law instance at every node
+        M = make(SET, S, ARITIES)
+        charged = []
+        for n in range(4):
+            bgt = Budget()
+            enumerate_tj_algebras(M, set_carrier(n), bgt)
+            charged.append(bgt.used)
+        assert charged == used
 
 
 class TestVerifyPresentation:

@@ -256,6 +256,39 @@ class TestProduct:
         assert len(paired) == len(fs) * len(gs)
         assert len(enumerate_morphisms(Z, P)) == len(paired)
 
+    def test_restriction_agrees_with_the_filtered_product(self):
+        # _product_on against product() cut down to a subset of its carrier,
+        # over every arity (nullary and ternary edges included)
+        rng = random.Random(11)
+        for _ in range(300):
+            family = [random_structure(rng, _MIXED_SIG, 2) for _ in range(rng.randint(1, 3))]
+            P = product(family)
+            keep = [x for x in P.carrier if rng.random() < 0.6]
+            kept = set(keep)
+            R = relcore._product_on(family, _MIXED_SIG, keep)
+            assert R.carrier == tuple(keep)
+            assert R.edges == {e for e in P.edges if kept.issuperset(e[1])}
+
+
+class TestSameSignature:
+    def test_equal_signatures_held_by_distinct_objects_agree(self, chain2):
+        twin = RelSignature(tuple(SIG.symbols))
+        assert twin == SIG and twin is not SIG
+        X = FinStructure(twin, chain2.carrier, chain2.edges)
+        assert relcore._same_signature(chain2, X, POS) == SIG
+        assert count_morphisms(X, chain2) == 3
+        assert product([X, chain2]).signature == SIG
+
+    def test_different_signatures_raise(self, chain2):
+        other = FinStructure(RelSignature((("R", 2),)), chain2.carrier, frozenset())
+        for operands in ((chain2, other), (chain2, chain2, other), (other, chain2, chain2)):
+            with pytest.raises(SignatureMismatch):
+                relcore._same_signature(*operands)
+        with pytest.raises(SignatureMismatch):
+            count_morphisms(chain2, other)
+        with pytest.raises(SignatureMismatch):
+            product([chain2, other])
+
 
 class TestEnumerateMorphisms:
     def test_terminal_target(self, chain3):
