@@ -5,6 +5,15 @@ theories back to truncations.
 A truncation tabulates, for each arity J in a finite set, the value object TJ,
 the unit tuple into it, and the Kleisli extension table of every map J -> TK;
 nothing is derived, so hand-entered data can be audited directly.
+
+The free algebras that give a theory its truncation are bounded term models,
+computed by the relational chase.  graph_presentation flattens the theory:
+one graph relation per operation symbol, functional by a congruence axiom,
+each equation and relation atom as a join of subterm atoms, and the base
+axioms copied per sort.  free_algebra grows the terms one layer at a time up
+to a depth bound (and refuses a layer past the size bound), and chases the
+presentation to its fixpoint after each layer.  A result is saturated when
+every operation on its classes has a value, so that its tables are total.
 """
 from __future__ import annotations
 
@@ -31,9 +40,14 @@ from .algebra import (
 )
 from .isoenum import model_families
 from .relcore import (
+    _EQ_SPELLINGS,
+    EQ,
     FinStructure,
+    HornFormula,
     HornTheory,
+    RelSignature,
     StructureError,
+    _chase,
     as_image_tuple,
     chase,
     enumerate_morphisms,
@@ -49,7 +63,6 @@ from .syntax import (
     Term,
     Var,
     canonical_context,
-    term_vars,
 )
 from .translate import CarrierRow, EquivalenceReport, _describe_family
 
@@ -607,79 +620,70 @@ class FreeAlgebraResult:
     class_count: int
 
 
-class _TermModel:
-    """Growing partial quotient of the term algebra: classes carry a
-    representative term (earliest created, hence of minimal depth) and a
-    partial operation table over class ids."""
+def _guarded(premises: set, conclusion: tuple, sort_of) -> HornFormula:
+    """The formula with a sort premise on each conclusion variable that no
+    premise binds; the chase would range such a variable over every sort."""
+    bound = {v for _, tup in premises for v in tup}
+    guards = {(("sort", sort_of(v)), (v,)) for v in conclusion[1] if v not in bound}
+    return HornFormula(frozenset(premises | guards), conclusion)
 
-    def __init__(self):
-        self.reps: list[Term] = []
-        self.sort: list[str] = []
-        self.depth: list[int] = []
-        self.parent: list[int] = []
-        self.table: dict[tuple, int] = {}  # (symbol, arg class ids) -> class id
 
-    def create(self, rep: Term, sort: str, depth: int) -> int:
-        i = len(self.reps)
-        self.reps.append(rep)
-        self.sort.append(sort)
-        self.depth.append(depth)
-        self.parent.append(i)
-        return i
+def _flatten(t: Term, atoms: set, names: dict) -> int:
+    """The variable standing for t in the join of its subterm atoms: a term
+    variable is its context index, and each distinct application
+    F(t1, ..., tn) adds the graph atom F(y1, ..., yn, y) on a fresh y < 0."""
+    if isinstance(t, Var):
+        return t.index
+    args = tuple(_flatten(a, atoms, names) for a in t.args)
+    key = (t.op, args)
+    if key not in names:
+        names[key] = -1 - len(names)
+        atoms.add((("op", t.op), args + (names[key],)))
+    return names[key]
 
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
 
-    def union(self, i: int, j: int) -> bool:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        if ri > rj:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        return True
+def graph_presentation(T: Theory) -> tuple[RelSignature, tuple[HornFormula, ...]]:
+    """The relational presentation whose chase computes term models of T.
 
-    def classes(self) -> list[int]:
-        return [i for i in range(len(self.reps)) if self.find(i) == i]
-
-    def canonicalize(self) -> bool:
-        """Remap the table through find; colliding entries merge their values
-        (congruence); iterate to a fixpoint.  Returns whether anything merged."""
-        merged_any = False
-        changed = True
-        while changed:
-            changed = False
-            fresh: dict[tuple, int] = {}
-            for (sym, args), val in self.table.items():
-                key = (sym, tuple(self.find(a) for a in args))
-                v = self.find(val)
-                seen = fresh.get(key)
-                if seen is None:
-                    fresh[key] = v
-                elif seen != v:
-                    self.union(seen, v)
-                    changed = True
-                    merged_any = True
-            self.table = {
-                (sym, tuple(self.find(a) for a in args)): self.find(v)
-                for (sym, args), v in fresh.items()
-            }
-        return merged_any
-
-    def eval(self, t: Term, env: Mapping[int, int]) -> int | None:
-        if isinstance(t, Var):
-            return self.find(env[t.index])
-        args = []
-        for a in t.args:
-            v = self.eval(a, env)
-            if v is None:
-                return None
-            args.append(v)
-        got = self.table.get((t.op, tuple(args)))
-        return None if got is None else self.find(got)
+    Relations: ("sort", s) per sort, the graph F = ("op", f) of arity n + 1
+    per classical symbol f, and a copy R@s = ("rel", R, s) of each base
+    relation R per sort s.  Axioms: congruence F(x, y), F(x, y') => y = y';
+    per equation, the join of both sides' subterm atoms => y_lhs = y_rhs (so
+    an instance fires exactly when both sides are defined); per relation
+    atom, the same join => R@s(y1, ...); and each base axiom copied onto
+    every R@s.  A conclusion variable that no premise binds gets a sort
+    premise.  None of the relations is reflexive, so this is no HornTheory:
+    relcore._chase runs it."""
+    sig, equations, relations, chains = theory_parts(T)
+    if chains:
+        raise StructureError("free_algebra does not support chain relations")
+    graphs = [(("op", name), op.inputs.total()) for name, op, _ in classical_symbols(sig)]
+    rels = [(("sort", s), 1) for s in sig.sorts.sorts] + [(F, n + 1) for F, n in graphs]
+    axioms = [
+        HornFormula(
+            frozenset({(F, tuple(range(n + 1))), (F, tuple(range(n)) + (n + 1,))}),
+            (EQ, (n, n + 1)),
+        )
+        for F, n in graphs
+    ]
+    for law in (*equations, *relations):
+        atoms: set = set()
+        names: dict = {}
+        if isinstance(law, Equation):
+            sides, crel = (law.lhs, law.rhs), EQ
+        else:
+            sides, crel = law.args, ("rel", law.relation, law.sort)
+        ys = tuple(_flatten(t, atoms, names) for t in sides)
+        axioms.append(_guarded(atoms, (crel, ys), law.context.sort_of))
+    for s in sig.sorts.sorts:
+        rels += [(("rel", R, s), ar) for R, ar in sig.base.signature.symbols]
+        for ax in sig.base.axioms:
+            crel, cvars = ax.conclusion
+            if crel not in _EQ_SPELLINGS:
+                crel = ("rel", crel, s)
+            premises = {(("rel", R, s), tup) for R, tup in ax.premises}
+            axioms.append(_guarded(premises, (crel, cvars), lambda v: s))
+    return RelSignature(tuple(rels)), tuple(axioms)
 
 
 def free_algebra(
@@ -688,135 +692,94 @@ def free_algebra(
     depth_bound: int = 3,
     size_bound: int = 4000,
 ) -> FreeAlgebraResult:
-    """Bounded term model on the canonical context of J: classes are grown by
-    applying operations to representatives up to the depth bound and quotiented
-    by equation instances over classes (ground congruence closure), interleaved
-    with the base chase over edges induced by the relations.
+    """Bounded term model on the canonical context of J, computed by the
+    chase of T's graph_presentation.  Its elements are terms, created only
+    by growing layers; the chase merges them and keeps each class's earliest
+    created term as its representative.
 
-    Saturated means every operation applied to class representatives lands back
-    in a known class; when it does not, the returned tables are partial.
+    The generators are chased first.  Then each iteration grows one layer:
+    every classical symbol in declaration order, on every tuple of
+    representatives in carrier order where its graph has no edge yet, makes
+    a new term unless that would exceed the depth bound.  A symbol's inputs
+    include the terms made earlier in the same layer.  If the layer would
+    take the number of terms made past size_bound, StructureError is raised
+    before any of them is made.  The presentation is then chased to its
+    fixpoint: equation instances, congruence closure and the base axioms at
+    once.  The loop stops at the first layer that adds nothing.
+
+    Saturated means every operation on representatives has a value: no
+    term was left out for depth.  When it does not hold, the tables are
+    partial.
     """
-    sig, equations, relations, chains = theory_parts(T)
-    if chains:
-        raise StructureError("free_algebra does not support chain relations")
-    base = sig.base
+    sig = theory_parts(T)[0]
+    signature, axioms = graph_presentation(T)
     ctx = canonical_context(J)
-    tm = _TermModel()
-    gen_class: list[int] = []
-    for i, (_, s) in enumerate(ctx.entries):
-        gen_class.append(tm.create(Var(i), s, 0))
-
-    symbols = classical_symbols(sig)
-    flat_inputs = {
-        name: canonical_context(op.inputs).entries for name, op, _ in symbols
-    }
-    outputs = {name: op.output for name, op, _ in symbols}
-
-    def class_pool(sort: str) -> list[int]:
-        return [c for c in tm.classes() if tm.sort[c] == sort]
-
-    def grow() -> bool:
-        added = False
-        for name, op, _ in symbols:
-            pools = [class_pool(s) for _, s in flat_inputs[name]]
-            for args in itertools.product(*pools):
-                key = (name, tuple(args))
-                if key in tm.table:
-                    continue
-                depth = 1 + max((tm.depth[a] for a in args), default=0)
-                if depth > depth_bound:
-                    continue
-                if len(tm.reps) >= size_bound:
-                    raise StructureError(
-                        f"free algebra exceeded the size bound {size_bound}"
-                    )
-                rep = App(name, tuple(tm.reps[a] for a in args))
-                tm.table[key] = tm.create(rep, outputs[name], depth)
-                added = True
-        return added
-
-    def equation_pass() -> bool:
-        merged = False
-        for eq in equations:
-            used = sorted(term_vars(eq.lhs) | term_vars(eq.rhs))
-            pools = [class_pool(eq.context.entries[i][1]) for i in used]
-            for combo in itertools.product(*pools):
-                env = dict(zip(used, combo))
-                l = tm.eval(eq.lhs, env)
-                r = tm.eval(eq.rhs, env)
-                if l is not None and r is not None and l != r:
-                    tm.union(l, r)
-                    merged = True
-        if merged:
-            tm.canonicalize()
-        return merged
-
-    edges_final: dict[str, frozenset] = {s: frozenset() for s in sig.sorts.sorts}
-
-    def relation_pass() -> bool:
-        merged = False
-        for s in sig.sorts.sorts:
-            reps = [tm.reps[c] for c in class_pool(s)]
-            rep_class = {tm.reps[c]: c for c in class_pool(s)}
-            edges = set()
-            for atom in relations:
-                if atom.sort != s:
-                    continue
-                used = sorted(set().union(set(), *(term_vars(a) for a in atom.args)))
-                pools = [class_pool(atom.context.entries[i][1]) for i in used]
-                for combo in itertools.product(*pools):
-                    env = dict(zip(used, combo))
-                    vals = [tm.eval(a, env) for a in atom.args]
-                    if any(v is None for v in vals):
-                        continue
-                    edges.add((atom.relation, tuple(tm.reps[v] for v in vals)))
-            structure = FinStructure(base.signature, tuple(reps), frozenset(edges))
-            model, unit = chase(structure, base)
-            edges_final[s] = model.edges
-            for t, r in unit.items():
-                if t != r and tm.union(rep_class[t], rep_class[r]):
-                    merged = True
-        if merged:
-            tm.canonicalize()
-        return merged
-
+    symbols = [
+        (name, op.output, [s for _, s in canonical_context(op.inputs).entries])
+        for name, op, _ in classical_symbols(sig)
+    ]
+    # per term made, by id: the term, its sort and its depth
+    reps: list[Term] = [Var(i) for i in range(len(ctx))]
+    sort = [s for _, s in ctx.entries]
+    depth = [0] * len(ctx)
+    gens = list(range(len(ctx)))
+    X = FinStructure(signature, tuple(gens), frozenset((("sort", s), (i,)) for i, s in enumerate(sort)))
     while True:
-        changed = grow()
-        changed |= equation_pass()
-        changed |= relation_pass()
-        if not changed:
+        model, unit = _chase(X, signature, axioms)
+        gens = [unit[g] for g in gens]
+        table = {(F[1], tup[:-1]): tup[-1] for F, tup in model.edges if F[0] == "op"}
+        pools = {s: [x for x in model.carrier if sort[x] == s] for s in sig.sorts.sorts}
+        layer = []
+        for name, out, inputs in symbols:
+            for args in itertools.product(*[pools[s] for s in inputs]):
+                if (name, args) in table:
+                    continue
+                d = 1 + max((depth[a] for a in args), default=0)
+                if d > depth_bound:
+                    continue
+                if len(reps) + len(layer) >= size_bound:
+                    raise StructureError(f"free algebra exceeded the size bound {size_bound}")
+                y = len(sort)
+                layer.append((name, args, y))
+                sort.append(out)
+                depth.append(d)
+                pools[out].append(y)
+        if not layer:
             break
+        new = set()
+        for name, args, y in layer:
+            reps.append(App(name, tuple(reps[a] for a in args)))
+            new |= {(("op", name), args + (y,)), (("sort", sort[y]), (y,))}
+        X = FinStructure(signature, model.carrier + tuple(y for *_, y in layer), model.edges | new)
 
     carrier = {
         s: FinStructure(
-            base.signature,
-            tuple(tm.reps[c] for c in class_pool(s)),
-            edges_final[s],
+            sig.base.signature,
+            tuple(reps[x] for x in pools[s]),
+            frozenset(
+                (R[1], tuple(reps[x] for x in tup))
+                for R, tup in model.edges
+                if R[0] == "rel" and R[2] == s
+            ),
         )
         for s in sig.sorts.sorts
     }
     saturated = True
     interp: dict[str, dict] = {}
-    for name, op, _ in symbols:
-        pools = [class_pool(s) for _, s in flat_inputs[name]]
-        table: dict[tuple, Term] = {}
-        for args in itertools.product(*pools):
-            got = tm.table.get((name, tuple(args)))
-            if got is None:
+    for name, _, inputs in symbols:
+        interp[name] = {}
+        for args in itertools.product(*[pools[s] for s in inputs]):
+            y = table.get((name, args))
+            if y is None:
                 saturated = False
             else:
-                table[tuple(tm.reps[a] for a in args)] = tm.reps[tm.find(got)]
-        interp[name] = table
+                interp[name][tuple(reps[a] for a in args)] = reps[y]
     generators = tuple(
-        tuple(
-            tm.reps[tm.find(gen_class[i])]
-            for i, (_, es) in enumerate(ctx.entries)
-            if es == s
-        )
+        tuple(reps[g] for g, (_, es) in zip(gens, ctx.entries) if es == s)
         for s in sig.sorts.sorts
     )
     algebra = Algebra(sig, carrier, interp)
-    return FreeAlgebraResult(algebra, generators, saturated, len(tm.classes()))
+    return FreeAlgebraResult(algebra, generators, saturated, len(model.carrier))
 
 
 def monad_from_theory(

@@ -306,9 +306,10 @@ def _compile(phi: HornFormula) -> _Plan:
         bound: set = set()
         rest, steps = list(premises), []
         while rest:
-            # the seed, then fully bound premises, then lookups, then scans
+            # the seed, then fully bound premises, then lookups (most bound
+            # positions first), then scans
             rel, tup = min(rest, key=lambda a: (
-                a != seed, not bound.issuperset(a[1]), bound.isdisjoint(a[1])))
+                a != seed, not bound.issuperset(a[1]), -sum(v in bound for v in a[1])))
             rest.remove((rel, tup))
             if bound.issuperset(tup):
                 steps.append((rel, None, (), (), tuple(slot[v] for v in tup)))
@@ -425,6 +426,12 @@ def chase(X: FinStructure, T: HornTheory) -> ChaseResult:
     representative; merged classes keep the element earliest in carrier order.
     """
     _same_signature(X, T)
+    return _chase(X, T.signature, T.axioms)
+
+
+def _chase(X: FinStructure, signature: RelSignature, axioms: tuple) -> ChaseResult:
+    """The chase of X, whose edges are over signature, under axioms that
+    need not include reflexivity axioms; the model is over signature."""
     original = X.carrier
     pos = {x: i for i, x in enumerate(original)}
     parent = {x: x for x in original}
@@ -436,12 +443,12 @@ def chase(X: FinStructure, T: HornTheory) -> ChaseResult:
         return x
 
     carrier = list(original)
-    ix = _EdgeIndex(T.signature)
+    ix = _EdgeIndex(signature)
     delta = ix.add(X.edges)
     first = True
     while True:
         found: set = set()
-        for ax in T.axioms:
+        for ax in axioms:
             plan = ax.plan
             emit = _consequences(plan, carrier, ix.edges, found, stop=False)
             env = [None] * plan.nslots
@@ -459,7 +466,7 @@ def chase(X: FinStructure, T: HornTheory) -> ChaseResult:
                 parent[rb] = ra
             carrier = [x for x in carrier if find(x) == x]
             edges = ix.edges
-            ix = _EdgeIndex(T.signature, (e for e in edges if all(find(x) == x for x in e[1])))
+            ix = _EdgeIndex(signature, (e for e in edges if all(find(x) == x for x in e[1])))
             delta = ix.add(
                 (rel, tuple([find(x) for x in tup]))
                 for rel, tup in itertools.chain(edges, found)
@@ -469,7 +476,7 @@ def chase(X: FinStructure, T: HornTheory) -> ChaseResult:
             delta = ix.add(found)
         else:
             break
-    model = FinStructure(T.signature, tuple(carrier), frozenset(ix.edges))
+    model = FinStructure(signature, tuple(carrier), frozenset(ix.edges))
     return ChaseResult(model, {x: find(x) for x in original})
 
 

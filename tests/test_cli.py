@@ -144,6 +144,21 @@ class TestCommands:
         assert doc["classes"] == 7
         assert doc["saturated"] is True
 
+    def test_free_algebra_semilattice_on_four(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "free-algebra", str(FIXTURES / "semilattice.thy"), "--arity", "4", "--json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["classes"] == 15
+        assert doc["saturated"] is True
+
+    def test_free_algebra_size_bound_is_one(self, capsys):
+        code, _, err = run(capsys, "free-algebra", str(FIXTURES / "group.thy"), "--arity", "2")
+        assert code == 1
+        assert "size bound" in err
+
     def test_verify_presentation(self, capsys):
         code, out, _ = run(
             capsys,

@@ -1,18 +1,20 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 
 from enrvar.algebra import (
     enumerate_algebras,
     hom_family,
+    is_homomorphism,
     ordinary_signature,
     satisfies_theory,
 )
 from enrvar.dsl import parse_theory
 from enrvar.budget import Budget
-from enrvar.isoenum import model_families
+from enrvar.isoenum import model_families, models_up_to
 from enrvar.monad import (
     RelMonadData,
     TjAlgebra,
@@ -63,6 +65,17 @@ def pointed_theory():
 
 def monoid_theory():
     return parse_theory((FIXTURES / "monoid.thy").read_text()).theories["monoid"]
+
+
+def fixture_theory(name):
+    return parse_theory((FIXTURES / f"{name}.thy").read_text()).theories[name]
+
+
+# the fixtures whose free algebras saturate on up to two generators
+SATURATING = (
+    "semilattice", "band", "ordered_band", "left_zero", "involution",
+    "idempotent_map", "pointed", "const_pair", "bare",
+)
 
 
 def set_carrier(n):
@@ -334,27 +347,46 @@ class TestFreeAlgebra:
         res = free_algebra(T, Arity.of(SortSet(("A",)), {"A": 2}))
         assert satisfies_theory(res.algebra, T)
 
-    def test_universal_property_against_small_algebras(self):
-        T = semilattice_theory()
-        J = Arity.of(SortSet(("A",)), {"A": 2})
-        res = free_algebra(T, J)
-        free_carrier = res.algebra.carrier["A"].carrier
-        gens = res.generators[0]
-        for n in (1, 2, 3):
-            for B in enumerate_algebras(T, set_carrier(n)):
-                for assignment in itertools.product(B.carrier["A"].carrier, repeat=len(gens)):
-                    extensions = []
-                    for images in itertools.product(
-                        B.carrier["A"].carrier, repeat=len(free_carrier)
-                    ):
+    def test_pinned_slow_cases(self):
+        res = free_algebra(fixture_theory("semilattice"), Arity.of(S, {"A": 4}))
+        assert (res.class_count, res.saturated) == (15, True)
+        res = free_algebra(fixture_theory("comm_monoid"), Arity.of(S, {"A": 2}))
+        assert (res.class_count, res.saturated) == (51, False)
+
+    def test_size_bound_is_found_before_the_layer_is_made(self):
+        T = fixture_theory("group")
+        started = time.perf_counter()
+        with pytest.raises(StructureError, match="size bound"):
+            free_algebra(T, Arity.of(T.signature.sorts, {"G": 2}))
+        assert time.perf_counter() - started < 5
+
+    @pytest.mark.parametrize("name", SATURATING)
+    def test_universal_property_against_small_algebras(self, name):
+        """Every assignment of the generators into every algebra on a base
+        model of size <= 2 extends to exactly one homomorphism."""
+        T = fixture_theory(name)
+        sig = T.signature
+        (sort,) = sig.sorts.sorts
+        targets = [
+            B
+            for C in models_up_to(sig.base, 2)
+            for B in enumerate_algebras(T, {sort: C})
+        ]
+        for n in (0, 1, 2):
+            res = free_algebra(T, Arity.of(sig.sorts, {sort: n}))
+            assert res.saturated
+            free_carrier = res.algebra.carrier[sort].carrier
+            (gens,) = res.generators
+            for B in targets:
+                points = B.carrier[sort].carrier
+                for assignment in itertools.product(points, repeat=n):
+                    extensions = 0
+                    for images in itertools.product(points, repeat=len(free_carrier)):
                         f = dict(zip(free_carrier, images))
                         if any(f[g] != a for g, a in zip(gens, assignment)):
                             continue
-                        from enrvar.algebra import is_homomorphism
-
-                        if is_homomorphism({"A": f}, res.algebra, B):
-                            extensions.append(f)
-                    assert len(extensions) == 1
+                        extensions += is_homomorphism({sort: f}, res.algebra, B)
+                    assert extensions == 1
 
 
 class TestMonadFromTheory:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,9 +38,11 @@ from enrvar.relcore import (
     terminal,
     uncurry,
 )
+from enrvar.dsl import parse_theory
 from enrvar.isoenum import all_structures, models_up_to
+from enrvar.monad import graph_presentation
 
-from conftest import poset, random_structure
+from conftest import FIXTURES, poset, random_structure
 from oracles import brute_morphisms, naive_chase, naive_satisfies_formula
 
 POS = builtin_theory("pos")
@@ -198,6 +201,17 @@ class TestChase:
                 X = random_structure(rng, T.signature, max_size=3)
                 model, unit = chase(X, T)
                 nmodel, nunit = naive_chase(X, T)
+                assert model == nmodel
+                assert unit == nunit
+        # the non-reflexive presentations that free_algebra chases, which
+        # only the chase core accepts
+        for name in ("semilattice", "ordered_band"):
+            T = parse_theory((FIXTURES / f"{name}.thy").read_text()).theories[name]
+            signature, axioms = graph_presentation(T)
+            for _ in range(40):
+                X = random_structure(rng, signature, max_size=3)
+                model, unit = relcore._chase(X, signature, axioms)
+                nmodel, nunit = naive_chase(X, SimpleNamespace(signature=signature, axioms=axioms))
                 assert model == nmodel
                 assert unit == nunit
 
