@@ -122,11 +122,6 @@ class FinStructure:
                 rows[rel] = (succ, pred, loops)
         return rows
 
-    @cached_property
-    def by_pos(self) -> dict[str, tuple[dict, ...]]:
-        """Per relation and position: the edge tuples by their element there."""
-        return _EdgeIndex(self.signature, self.edges).by_pos
-
     def size(self) -> int:
         return len(self.carrier)
 
@@ -155,6 +150,14 @@ class HornFormula:
     def plan(self) -> _Plan:
         """The premises compiled into one join plan per premise."""
         return _compile(self)
+
+    @cached_property
+    def pattern(self) -> FinStructure:
+        """The premises as a structure on the variables, in plan's slot order,
+        over just the premise relations: a premise match in X is a morphism
+        pattern -> X (Chandra & Merlin, STOC 1977)."""
+        sig = RelSignature(tuple(sorted({(rel, len(tup)) for rel, tup in self.premises})))
+        return FinStructure(sig, self.variables(), self.premises)
 
 
 def reflexivity_formula(rel: str, ar: int) -> HornFormula:
@@ -209,7 +212,7 @@ def _same_signature(*objs) -> RelSignature:
 
 
 def _check_total(f: Mapping, domain: Iterable, Y: FinStructure) -> None:
-    ytargets = set(Y.carrier)
+    ytargets = Y.index
     for x in domain:
         if x not in f:
             raise StructureError(f"map is not total: {x!r} unassigned")
@@ -232,7 +235,10 @@ def is_pi_morphism(f: Mapping, X: FinStructure, Y: FinStructure) -> bool:
 
 def satisfies_formula(X: FinStructure, phi: HornFormula) -> bool:
     """True iff every valuation making the premises edges of X also makes the
-    conclusion hold (with equality interpreted as the diagonal)."""
+    conclusion hold (with equality interpreted as the diagonal).  One _search,
+    stopped at its first solution, looks for a counterexample: a morphism
+    phi.pattern -> X that also meets the negated conclusion, as complemented
+    rows or masks or, for a wider relation, a test at its last variable."""
     arity = X.signature.arity
     for rel, tup in phi.premises:
         if rel not in arity or len(tup) != arity[rel]:
@@ -240,45 +246,38 @@ def satisfies_formula(X: FinStructure, phi: HornFormula) -> bool:
     crel, ctup = phi.conclusion
     if crel not in _EQ_SPELLINGS and (crel not in arity or len(ctup) != arity[crel]):
         raise SignatureMismatch(f"formula conclusion misuses relation {crel!r}")
-    fast = _fast_formula(X, phi)
-    if fast is not None:
-        return fast
-    plan = phi.plan
-    emit = _consequences(plan, X.carrier, X.edges, set(), stop=True)
-    env = [None] * plan.nslots
-    return not (_join(X, plan.seeded[0], 0, env, emit) if plan.seeded else emit(env))
-
-
-# Fast evaluation for the reflexivity and transitivity shapes of the builtin
-# theories; every other formula goes through the compiled join below.
-
-def _fast_formula(X: FinStructure, phi: HornFormula):
-    rows = X.rows
-    n = len(X.carrier)
-    crel, cvars = phi.conclusion
-    prem = sorted(phi.premises)
-    if not prem and crel not in _EQ_SPELLINGS and len(cvars) == 2 \
-            and cvars[0] == cvars[1] and crel in rows:
-        return rows[crel][2] == (1 << n) - 1
-    if len(prem) != 2 or len(cvars) != 2 or crel not in rows \
-            or any(len(e[1]) != 2 for e in prem):
-        return None
-    (r1, (x1, y1)), (r2, (x2, y2)) = prem
-    if len({x1, y1, x2, y2}) != 3:
-        return None
-    for ra, xa, ya, rb, xb, yb in ((r1, x1, y1, r2, x2, y2), (r2, x2, y2, r1, x1, y1)):
-        if ya == xb and tuple(cvars) == (xa, yb):
-            rar, rbr, goal = rows[ra][0], rows[rb][0], rows[crel][0]
-            for i in range(n):
-                m = rar[i]
-                j = 0
-                while m:
-                    if m & 1 and rbr[j] & ~goal[i]:
-                        return False
-                    m >>= 1
-                    j += 1
+    pattern = phi.pattern
+    n, m = len(pattern.carrier), len(X.carrier)
+    full = (1 << m) - 1
+    doms = [full] * n
+    fwd: list[list] = [[] for _ in range(n)]
+    checks: list[list] = [[] for _ in range(n)]
+    if not _constrain(pattern, X, 0, 0, doms, fwd, checks):
+        return True
+    ps = [pattern.index[v] for v in ctup]
+    if len(ps) == 2:
+        if crel in _EQ_SPELLINGS:
+            succ = pred = [1 << v for v in range(m)]
+            loops = full
+        else:
+            succ, pred, loops = X.rows[crel]
+        i, j = ps
+        if i == j:
+            doms[i] &= full ^ loops
+        elif i < j:
+            fwd[i].append((j, [full ^ r for r in succ]))
+        else:
+            fwd[j].append((i, [full ^ r for r in pred]))
+    elif len(ps) == 1:
+        doms[ps[0]] &= full ^ X.rows[crel]
+    elif not ps:
+        if (crel, ()) in X.edges:
             return True
-    return None
+    else:
+        checks[max(ps)].append(
+            lambda image: (crel, tuple([image[i] for i in ps])) not in X.edges
+        )
+    return not _search(X.carrier, doms, fwd, checks, first=True)
 
 
 # -- compiled join -------------------------------------------------------------
@@ -332,11 +331,10 @@ def _compile(phi: HornFormula) -> _Plan:
     return _Plan(len(slot), tuple(seeded), crel, tuple(slot[v] for v in cvars), free)
 
 
-def _join(ix, steps: tuple, k: int, env: list, emit, cands=None) -> bool:
-    """Extend the valuation env through steps[k:] over the edges of ix (a
-    FinStructure or an _EdgeIndex), passing each full valuation to emit as it
-    is found; True as soon as emit returns True.  cands, when given, are the
-    candidate tuples of steps[k]: the seed edges of a chase round."""
+def _join(ix: _EdgeIndex, steps: tuple, k: int, env: list, emit, cands=None) -> None:
+    """Extend the valuation env through steps[k:] over the edges of ix,
+    passing each full valuation to emit as it is found.  cands, when given,
+    are the candidate tuples of steps[k]: the seed edges of a chase round."""
     rel, key, binds, tests, check = steps[k]
     if cands is None and check is not None:
         cands = ((),) if (rel, tuple([env[s] for s in check])) in ix.edges else ()
@@ -350,15 +348,16 @@ def _join(ix, steps: tuple, k: int, env: list, emit, cands=None) -> bool:
             if tup[p] != env[s]:
                 break
         else:
-            if emit(env) if last else _join(ix, steps, k + 1, env, emit):
-                return True
-    return False
+            if last:
+                emit(env)
+            else:
+                _join(ix, steps, k + 1, env, emit)
 
 
-def _consequences(plan: _Plan, carrier, edges, found: set, stop: bool):
+def _consequences(plan: _Plan, carrier, edges, found: set):
     """The emit of a join: adds to found each instance of the conclusion under
     the valuation, over every choice of the conclusion-only variables, that
-    does not hold in edges; with stop, returns True at the first."""
+    does not hold in edges."""
     crel, cslots, free = plan.rel, plan.conclusion, plan.free
     is_eq = crel in _EQ_SPELLINGS
 
@@ -366,14 +365,12 @@ def _consequences(plan: _Plan, carrier, edges, found: set, stop: bool):
         inst = tuple([env[s] for s in cslots])
         if inst[0] != inst[1] if is_eq else (crel, inst) not in edges:
             found.add((crel, inst))
-            return stop
 
     def emit_free(env):
         for choice in itertools.product(carrier, repeat=len(free)):
             for s, x in zip(free, choice):
                 env[s] = x
-            if emit(env):
-                return True
+            emit(env)
 
     return emit_free if free else emit
 
@@ -450,7 +447,7 @@ def _chase(X: FinStructure, signature: RelSignature, axioms: tuple) -> ChaseResu
         found: set = set()
         for ax in axioms:
             plan = ax.plan
-            emit = _consequences(plan, carrier, ix.edges, found, stop=False)
+            emit = _consequences(plan, carrier, ix.edges, found)
             env = [None] * plan.nslots
             if first and not plan.seeded:
                 emit(env)
@@ -564,7 +561,8 @@ def relabel(X: FinStructure, mapping: Mapping) -> FinStructure:
 
 # -- search --------------------------------------------------------------------
 
-def _search(values, doms: list, fwd: list, checks: list, out: list | None = None) -> int:
+def _search(values, doms: list, fwd: list, checks: list, out: list | None = None,
+            first: bool = False) -> int:
     """Forward-checking search over variables 0..n-1, after Mackworth,
     "Consistency in Networks of Relations" (AIJ 1977).
 
@@ -575,7 +573,8 @@ def _search(values, doms: list, fwd: list, checks: list, out: list | None = None
     and backtracks when one becomes empty.  Each test in checks[k] is called
     on the partial image (the list of assigned values) once k is assigned.
     Returns the number of solutions and appends each, as a tuple of values,
-    to out when given."""
+    to out when given; with first, stops at the first solution, so the
+    number is 0 or 1."""
     n = len(doms)
     if not all(doms):
         return 0
@@ -587,7 +586,7 @@ def _search(values, doms: list, fwd: list, checks: list, out: list | None = None
     last = n - 1
     total = 0
 
-    def rec(k: int, doms: list):
+    def rec(k: int, doms: list) -> bool:
         nonlocal total
         d = doms[k]
         tests, links = checks[k], fwd[k]
@@ -602,18 +601,19 @@ def _search(values, doms: list, fwd: list, checks: list, out: list | None = None
                 total += 1
                 if out is not None:
                     out.append(tuple(image))
+                if first:
+                    return True
                 continue
-            if not links:
-                rec(k + 1, doms)
-                continue
-            nd = doms[:]
+            nd = doms[:] if links else doms
             for j, rows in links:
                 m = nd[j] & rows[v]
                 if not m:
                     break
                 nd[j] = m
             else:
-                rec(k + 1, nd)
+                if rec(k + 1, nd):
+                    return True
+        return False
 
     rec(0, doms)
     return total
@@ -626,7 +626,8 @@ def _constrain(X: FinStructure, Y: FinStructure, base: int, off: int,
     off + j: a self-loop or a unary edge narrows a domain once, every other
     binary edge links its earlier element to its later one, and a nullary or
     wider edge is a membership test at its last element.  False when a
-    nullary edge of X is missing from Y."""
+    nullary edge of X is missing from Y.  X's relations must be Y's; the
+    signatures are not compared."""
     idx = X.index
     rows = Y.rows
     for rel, ar in X.signature.symbols:
@@ -812,9 +813,9 @@ def exponential(X: FinStructure, Y: FinStructure, T: HornTheory) -> FinStructure
     order); (rel, fs) is an edge iff fs maps every rel-edge of X to a rel-edge
     of Y componentwise.
 
-    The currying bijection against the product holds for this construction at
-    the structure level by componentwise bookkeeping, so certification reduces
-    to the model check on [X, Y]; failures raise NotClosed.
+    By this edge rule g : Z -> [X, Y] preserves edges iff its transpose
+    does, so curry and uncurry check only that side, and certification is
+    the model check on [X, Y]; its failure alone raises NotClosed.
     """
     sig = _same_signature(X, Y, T)
     if not is_model(X, T) or not is_model(Y, T):
@@ -835,41 +836,28 @@ def evaluation_table(E: FinStructure, X: FinStructure) -> dict:
     return {(f, x): f[X.index[x]] for f in E.carrier for x in X.carrier}
 
 
-def _is_pair_morphism(f: Mapping, Z: FinStructure, X: FinStructure, Y: FinStructure) -> bool:
-    """is_pi_morphism(f, product([Z, X]), Y), tested against the componentwise
-    product edges without building the product."""
-    sig = _same_signature(Z, X, Y)
-    _check_total(f, itertools.product(Z.carrier, X.carrier), Y)
-    yedges = Y.edges
-    return all(
-        (rel, tuple(f[p] for p in zip(zt, xt))) in yedges
-        for rel in sig.names
-        for zt, xt in itertools.product(Z.edges_by_rel[rel], X.edges_by_rel[rel])
-    )
-
-
 def curry(f: Mapping, Z: FinStructure, X: FinStructure, Y: FinStructure, T: HornTheory) -> dict:
-    """Transpose a morphism f : Z x X -> Y to g : Z -> [X, Y]."""
-    if not _is_pair_morphism(f, Z, X, Y):
-        raise StructureError("curry: f is not a morphism Z*X -> Y")
+    """Transpose a morphism f : Z x X -> Y to g : Z -> [X, Y], where Z is a
+    T-model.  An f that is not a morphism raises StructureError.  Only g is
+    checked: its rows are in Hom(X, Y) by Z's reflexive diagonal edges, and
+    it is a morphism into [X, Y] iff f is one."""
+    _same_signature(Z, X, Y)
+    _check_total(f, itertools.product(Z.carrier, X.carrier), Y)
     E = exponential(X, Y, T)
     g = {z: tuple(f[(z, x)] for x in X.carrier) for z in Z.carrier}
-    eset = set(E.carrier)
-    if any(v not in eset for v in g.values()) or not is_pi_morphism(g, Z, E):
-        raise NotClosed("curry: transpose fails to be a morphism into the exponential")
+    if any(v not in E.index for v in g.values()) or not is_pi_morphism(g, Z, E):
+        raise StructureError("curry: f is not a morphism Z*X -> Y")
     return g
 
 
 def uncurry(g: Mapping, Z: FinStructure, X: FinStructure, Y: FinStructure, T: HornTheory) -> dict:
-    """Inverse transpose: g : Z -> [X, Y] back to f : Z x X -> Y."""
+    """Inverse transpose: g : Z -> [X, Y] back to f : Z x X -> Y.  A g that
+    is not a morphism raises StructureError; a morphism g gives a morphism f."""
     E = exponential(X, Y, T)
     if not is_pi_morphism(g, Z, E):
         raise StructureError("uncurry: g is not a morphism Z -> [X,Y]")
     idx = X.index
-    f = {(z, x): g[z][idx[x]] for z in Z.carrier for x in X.carrier}
-    if not _is_pair_morphism(f, Z, X, Y):
-        raise NotClosed("uncurry: transpose fails to be a morphism Z*X -> Y")
-    return f
+    return {(z, x): g[z][idx[x]] for z in Z.carrier for x in X.carrier}
 
 
 # -- builtin theories ----------------------------------------------------------

@@ -505,6 +505,39 @@ class TestCurry:
         with pytest.raises(StructureError):
             curry(f, Z, chain2, chain2, POS)
 
+    def test_curry_rejects_a_non_model_source(self, chain2):
+        # Z x chain2 has no edges, so f is a morphism, but its row (b, a)
+        # is not monotone: Z lacks the `<=` loop that pairs with a <= b
+        Z = FinStructure(SIG, ("z",), frozenset())
+        f = {("z", "a"): "b", ("z", "b"): "a"}
+        assert f in brute_morphisms(product([Z, chain2]), chain2)
+        with pytest.raises(StructureError):
+            curry(f, Z, chain2, chain2, POS)
+
+    def test_transposes_reject_exactly_the_non_morphisms(self):
+        zoo = models_up_to(POS, 2, min_size=1)
+        for Z, X, Y in itertools.product(zoo, repeat=3):
+            ZX = product([Z, X])
+            homs = brute_morphisms(ZX, Y)
+            for images in itertools.product(Y.carrier, repeat=len(ZX.carrier)):
+                f = dict(zip(ZX.carrier, images))
+                try:
+                    curry(f, Z, X, Y, POS)
+                    rejected = False
+                except StructureError:
+                    rejected = True
+                assert rejected == (f not in homs)
+            E = exponential(X, Y, POS)
+            homs = brute_morphisms(Z, E)
+            for images in itertools.product(E.carrier, repeat=len(Z.carrier)):
+                g = dict(zip(Z.carrier, images))
+                try:
+                    uncurry(g, Z, X, Y, POS)
+                    rejected = False
+                except StructureError:
+                    rejected = True
+                assert rejected == (g not in homs)
+
     def test_uncurry_rejects_a_non_morphism(self, chain2):
         g = {"a": ("b", "b"), "b": ("a", "a")}
         with pytest.raises(StructureError):
@@ -565,14 +598,16 @@ class TestJson:
 
 
 def test_satisfies_formula_thousand_case_oracle():
-    """Deterministic bulk agreement with the all-valuations oracle, covering
-    both the shape-based fast paths and the generic join."""
+    """Deterministic bulk agreement with the all-valuations oracle, over
+    every kind of premise and conclusion the search kernel negates: unary,
+    binary, loop, equality, nullary and wider."""
     rng = random.Random(987654)
     sigs = [
         SIG,
         builtin_theory("simp(2)").signature,
         builtin_theory("qchain(3)").signature,
         RelSignature((("R", 1), ("S", 2), ("T", 3))),
+        _MIXED_SIG,
     ]
     cases = 0
     while cases < 1000:
