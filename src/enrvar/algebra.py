@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .budget import Budget, ensure_budget
@@ -20,7 +21,6 @@ from .relcore import (
     _product_on,
     _sortwise_search,
     as_image_tuple,
-    enumerate_morphisms,
     exp_edge_holds,
     exponential,
     is_model,
@@ -31,7 +31,6 @@ from .relcore import (
 )
 from . import syntax
 from .syntax import (
-    App,
     Arity,
     ChainRelation,
     ClassicalSignature,
@@ -191,20 +190,29 @@ class Algebra:
         )
 
 
-from functools import lru_cache
-
-
-@lru_cache(maxsize=8192)
-def _product_cached(structs: tuple, signature) -> FinStructure:
-    return product(list(structs), signature=signature)
-
-
 def context_power(carrier: Mapping[str, FinStructure], ctx: Context) -> FinStructure:
-    """Product of the sort carriers in context order (cached)."""
-    return _product_cached(
-        tuple(carrier[s] for _, s in ctx.entries),
-        next(iter(carrier.values())).signature if carrier else None,
+    """Product of the sort carriers in context order."""
+    return product(
+        [carrier[s] for _, s in ctx.entries],
+        signature=next(iter(carrier.values())).signature if carrier else None,
     )
+
+
+def context_points(carrier: Mapping[str, FinStructure], ctx: Context) -> Iterable[tuple]:
+    """The carrier of context_power(carrier, ctx), in its order, without
+    building the power."""
+    return itertools.product(*[carrier[s].carrier for _, s in ctx.entries])
+
+
+def context_edges(
+    carrier: Mapping[str, FinStructure], ctx: Context, rel: str, ar: int
+) -> Iterable[tuple]:
+    """The rel-edges of context_power(carrier, ctx), each an ar-tuple of
+    points, without building the power; rel has arity ar.  The empty
+    context's power is the indiscrete singleton, whose one edge is
+    ((),) * ar."""
+    for combo in itertools.product(*[carrier[s].edges_by_rel[rel] for _, s in ctx.entries]):
+        yield tuple([tuple([t[i] for t in combo]) for i in range(ar)])
 
 
 def algebra_to_json(A: Algebra) -> dict:
@@ -348,17 +356,12 @@ def eval_term(A: Algebra, ctx: Context, t: Term, args: tuple):
 
 
 def interpret_term(A: Algebra, ctx: Context, t: Term) -> dict:
-    """Full function table of t over the context power."""
-    dom = context_power(A.carrier, ctx)
-    table = {}
-    for point in dom.carrier:
-        table[point] = eval_term(A, ctx, t, point)
-    return table
+    """Full function table of t over the context power, in its point order."""
+    return {point: eval_term(A, ctx, t, point) for point in context_points(A.carrier, ctx)}
 
 
 def satisfies_equation(A: Algebra, eq: Equation) -> bool:
-    dom = context_power(A.carrier, eq.context)
-    for point in dom.carrier:
+    for point in context_points(A.carrier, eq.context):
         if eval_term(A, eq.context, eq.lhs, point) != eval_term(A, eq.context, eq.rhs, point):
             return False
     return True
@@ -366,12 +369,12 @@ def satisfies_equation(A: Algebra, eq: Equation) -> bool:
 
 def satisfies_relation(A: Algebra, atom: RelationAtom) -> bool:
     """Edge test in the internal hom [power, carrier_S], evaluated without
-    materializing the exponential: the relation holds iff every matching edge
-    of the input power maps into an edge of the output carrier."""
-    dom = context_power(A.carrier, atom.context)
+    materializing the exponential or the power: the relation holds iff every
+    matching edge of the context power (context_edges) maps into an edge of
+    the output carrier."""
     cod = A.carrier[atom.sort]
     tables = [interpret_term(A, atom.context, arg) for arg in atom.args]
-    for dtuple in dom.edges_by_rel[atom.relation]:
+    for dtuple in context_edges(A.carrier, atom.context, atom.relation, len(atom.args)):
         image = tuple(tables[i][d] for i, d in enumerate(dtuple))
         if (atom.relation, image) not in cod.edges:
             return False
@@ -437,23 +440,7 @@ def hom_object(A: Algebra, B: Algebra) -> FinStructure:
 
 # -- exhaustive algebra enumeration ---------------------------------------------
 
-def _constraint_symbols(T: Theory) -> list[tuple[int, object]]:
-    """(kind, constraint) pairs: kind 0 equation, 1 relation, 2 chain."""
-    _, equations, relations, chains = theory_parts(T)
-    out = [(0, eq) for eq in equations]
-    out += [(1, r) for r in relations]
-    out += [(2, c) for c in chains]
-    return out
-
-
-def _symbols_of_constraint(kind: int, c) -> set[str]:
-    if kind == 0:
-        return syntax.term_ops(c.lhs) | syntax.term_ops(c.rhs)
-    if kind == 1:
-        out: set[str] = set()
-        for a in c.args:
-            out |= syntax.term_ops(a)
-        return out
+def _chain_symbols(c: ChainRelation) -> set[str]:
     out = syntax.term_ops(c.limit)
     if isinstance(c.chain, syntax.ExplicitChain):
         for t in c.chain.terms:
@@ -463,145 +450,115 @@ def _symbols_of_constraint(kind: int, c) -> set[str]:
     return out
 
 
-def _check_constraint(A: Algebra, kind: int, c) -> bool:
-    if kind == 0:
-        return satisfies_equation(A, c)
-    if kind == 1:
-        return satisfies_relation(A, c)
-    from .cpo import satisfies_chain_relation
-
-    return satisfies_chain_relation(A, c)
-
-
-def _definition_for(slot: str, op: OpDecl, slot_index: Mapping[str, int], eq: Equation):
-    """Recognize `slot(v1,...,vn) == t` (either orientation) where t mentions
-    only earlier symbols and the context is the slot's canonical one: such an
-    equation forces the slot's table, so the candidate scan collapses to the
-    one table it computes."""
-    if tuple(s for _, s in eq.context.entries) != op.inputs.flat_sorts():
-        return None
-    k = slot_index[slot]
-    for head, body in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
-        if not isinstance(head, App) or head.op != slot:
-            continue
-        if head.args != tuple(Var(i) for i in range(len(eq.context))):
-            continue
-        if all(slot_index.get(s, k) < k for s in syntax.term_ops(body)):
-            return body
-    return None
-
-
 def enumerate_algebras(
     T: Theory,
     carrier: Mapping[str, FinStructure],
     budget: Budget | int | None = None,
 ) -> list[Algebra]:
     """All algebra structures of T on the fixed carrier, in deterministic
-    order.  Tables are filled symbol by symbol; admissibility edges and
-    constraints are checked as soon as the symbols they mention are set, and
-    a defining equation replaces a slot's candidate scan by the one table it
-    forces."""
-    sig, equations, *_ = theory_parts(T)
+    order, by one _sortwise_search over the cells of the tables (after Zhang
+    & Zhang, "SEM: a System for Enumerating Models", IJCAI 1995).
+
+    An operation with parameter P, arity J and output sort S is one morphism
+    P x A^J -> A_S: as P is reflexive, it preserves edges iff every table is
+    a morphism A^J -> A_S and every parameter family is admissible.  The
+    cells are the elements (p, a1, ..., an) of these products, built flat
+    as P x A_1 x ... x A_n, operation by operation, so they run in
+    classical_symbols order and, within a symbol, in point order; the
+    algebras come out in the lexicographic order of their tables read that
+    way.
+
+    Each instance of a law is a test at the last cell it reads: an equation
+    at each point of its context, a relation atom at each edge of its
+    context power, and a chain relation once, at the last cell of the last
+    symbol it mentions, on the algebra read off the partial image.  A
+    symbol applied to variables reads one known cell; one applied to a
+    nested term counts as reading its last cell.  An instance that reads no
+    cell is decided up front.  The budget is charged one unit per cell
+    assignment."""
+    sig, equations, relations, chains = theory_parts(T)
     bgt = ensure_budget(budget)
     for s in sig.sorts.sorts:
         if s not in carrier:
             raise StructureError(f"enumerate_algebras: missing carrier for sort {s}")
         if not is_model(carrier[s], sig.base):
             raise StructureError(f"carrier at sort {s} is not a base model")
-
-    slots: list[tuple[str, OpDecl, object]] = classical_symbols(sig)
-    slot_index = {name: i for i, (name, _, _) in enumerate(slots)}
-
-    # candidate tables per (arity, output sort), cached
-    table_cache: dict[tuple[Arity, str], list[dict]] = {}
-
-    def candidates(op: OpDecl) -> list[dict]:
-        key = (op.inputs, op.output)
-        if key not in table_cache:
-            dom = power(carrier, op.inputs)
-            table_cache[key] = enumerate_morphisms(dom, carrier[op.output])
-        return table_cache[key]
-
-    powers = {op.name: power(carrier, op.inputs) for op in sig.ops}
-
-    definitions: dict[str, tuple[Context, Term]] = {}
-    for eq in equations:
-        for name, op, _ in slots:
-            if name in definitions:
-                continue
-            body = _definition_for(name, op, slot_index, eq)
-            if body is not None:
-                definitions[name] = (eq.context, body)
-
-    # admissibility edges of an op trigger at the last of the slots they use;
-    # edges on a repeated parameter element restate the morphism property the
-    # candidates already have
-    adm_at: list[list[tuple[OpDecl, str, tuple]]] = [[] for _ in slots]
-    for op in sig.ops:
-        pidx = {p: slot_index[classical_symbol(op, p)] for p in op.param.carrier}
-        for rel in sig.base.signature.names:
-            for ptup in op.param.edges_by_rel[rel]:
-                if ptup and len(set(ptup)) > 1:
-                    adm_at[max(pidx[p] for p in ptup)].append((op, rel, ptup))
-
-    # theory constraints trigger once all mentioned symbols are assigned;
-    # constraints mentioning no symbol are checked up front
-    cons_at: list[list[tuple[int, object]]] = [[] for _ in slots]
-    upfront: list[tuple[int, object]] = []
-    for kind, c in _constraint_symbols(T):
-        syms = _symbols_of_constraint(kind, c)
-        if syms:
-            cons_at[max(slot_index[s] for s in syms)].append((kind, c))
-        else:
-            upfront.append((kind, c))
-
     carrier = dict(carrier)
-    out: list[Algebra] = []
-    interp: dict[str, dict] = {}
-    image_tuples: dict[str, tuple] = {}
 
-    probe = Algebra(sig, carrier, interp)
-    if any(not _check_constraint(probe, kind, c) for kind, c in upfront):
+    Xs, Ys = [], []
+    at: dict[str, dict] = {}  # per symbol: the cell of each point
+    last: dict[str, int] = {}  # per symbol: its last cell
+    n = 0
+    for op in sig.ops:
+        ins = [carrier[s] for s in op.inputs.flat_sorts()]
+        points = list(itertools.product(*[A.carrier for A in ins]))
+        Xs.append(product([op.param, *ins]))
+        Ys.append(carrier[op.output])
+        for p in op.param.carrier:
+            name = classical_symbol(op, p)
+            at[name] = {point: n + i for i, point in enumerate(points)}
+            n += len(points)
+            last[name] = n - 1
+
+    def reader(t: Term, point: tuple):
+        """t at point as the last cell it reads (-1 for none) and a function
+        of the partial image that evaluates it."""
+        if isinstance(t, Var):
+            v = point[t.index]
+            return -1, lambda image: v
+        cells = at[t.op]
+        if all(isinstance(a, Var) for a in t.args):
+            k = cells[tuple([point[a.index] for a in t.args])]
+            return k, itemgetter(k)
+        args = [reader(a, point) for a in t.args]
+        gets = [g for _, g in args]
+        return (
+            max([last[t.op]] + [k for k, _ in args]),
+            lambda image: image[cells[tuple([g(image) for g in gets])]],
+        )
+
+    instances: list[tuple[int, object]] = []
+    for eq in equations:
+        for point in context_points(carrier, eq.context):
+            (j, lhs), (k, rhs) = reader(eq.lhs, point), reader(eq.rhs, point)
+            instances.append(
+                (max(j, k), lambda image, lhs=lhs, rhs=rhs: lhs(image) == rhs(image))
+            )
+    for atom in relations:
+        rel, cod = atom.relation, carrier[atom.sort]
+        for edge in context_edges(carrier, atom.context, rel, len(atom.args)):
+            args = [reader(t, d) for t, d in zip(atom.args, edge)]
+            gets = [g for _, g in args]
+            instances.append((
+                max([k for k, _ in args], default=-1),
+                lambda image, rel=rel, cod=cod, gets=gets:
+                    (rel, tuple([g(image) for g in gets])) in cod.edges,
+            ))
+    for c in chains:
+        from .cpo import satisfies_chain_relation
+
+        syms = _chain_symbols(c)
+
+        def chain_holds(image, c=c, syms=syms):
+            interp = {s: {point: image[k] for point, k in at[s].items()} for s in syms}
+            return satisfies_chain_relation(Algebra(sig, carrier, interp), c)
+
+        instances.append((max([last[s] for s in syms], default=-1), chain_holds))
+    if not all(test([]) for k, test in instances if k < 0):
         return []
 
-    def slot_tables(name: str, op: OpDecl, dom: FinStructure, cod: FinStructure):
-        forced = definitions.get(name)
-        if forced is None:
-            return candidates(op)
-        ctx, body = forced
-        table = {point: eval_term(probe, ctx, body, point) for point in dom.carrier}
-        if not is_pi_morphism(table, dom, cod):
-            return []
-        return [table]
+    def charge(image) -> bool:
+        bgt.charge()
+        return True
 
-    def rec(k: int):
-        if k == len(slots):
-            out.append(Algebra(sig, carrier, dict(interp)))
-            return
-        name, op, p = slots[k]
-        dom = powers[op.name]
-        cod = carrier[op.output]
-        for table in slot_tables(name, op, dom, cod):
-            bgt.charge()
-            interp[name] = table
-            image_tuples[name] = as_image_tuple(table, dom)
-            ok = True
-            for aop, rel, ptup in adm_at[k]:
-                fs = tuple(
-                    image_tuples[classical_symbol(aop, pp)] for pp in ptup
-                )
-                if not exp_edge_holds(powers[aop.name], carrier[aop.output], rel, fs):
-                    ok = False
-                    break
-            if ok:
-                for kind, c in cons_at[k]:
-                    if not _check_constraint(probe, kind, c):
-                        ok = False
-                        break
-            if ok:
-                rec(k + 1)
-        interp.pop(name, None)
-        image_tuples.pop(name, None)
-
-    rec(0)
-    return out
+    tests = [(k, charge) for k in range(n)]
+    tests += [(k, test) for k, test in instances if k >= 0]
+    images: list = []
+    _sortwise_search(Xs, Ys, (), images, tests)
+    return [
+        Algebra(sig, carrier, {
+            name: {point: image[k] for point, k in cells.items()}
+            for name, cells in at.items()
+        })
+        for image in images
+    ]

@@ -32,7 +32,7 @@ from .algebra import (
     _var_index,
     classical_symbol,
     classical_symbols,
-    context_power,
+    context_points,
     enumerate_algebras,
     eval_term,
     hom_family,
@@ -542,13 +542,12 @@ def tj_to_algebra(M: RelMonadData, T: EnrichedTheory, A: TjAlgebra) -> Algebra:
     sig = T.signature
     interp: dict[str, dict] = {}
     for J in M.arities:
-        ctx = canonical_context(J)
-        dom = context_power(A.carrier, ctx)
+        points = list(context_points(A.carrier, canonical_context(J)))
         for s in M.sorts.sorts:
             op = sig.by_name[_op_name(J, s)]
             for p in M.obj[J][s].carrier:
                 table = {}
-                for point in dom.carrier:
+                for point in points:
                     x = _regroup(M, J, point)
                     table[point] = A.component(M, J, s, p, x)
                 interp[classical_symbol(op, p)] = table

@@ -85,6 +85,15 @@ class FinStructure:
                 if x not in members:
                     raise StructureError(f"edge mentions {x!r} outside the carrier")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the dataclass hash, computed once: exponential's cache hashes its
+        # arguments on every call
+        return hash((self.signature, self.carrier, self.edges))
+
     @cached_property
     def index(self) -> dict:
         return {x: i for i, x in enumerate(self.carrier)}
@@ -198,12 +207,21 @@ class HornTheory:
                     "reflexive theories must declare it syntactically"
                 )
 
+    def __hash__(self) -> int:
+        return self._hash
 
-def _same_signature(*objs) -> RelSignature:
-    """The one signature of the operands; operands that hold the same
-    RelSignature object are accepted without comparing or hashing it."""
+    @cached_property
+    def _hash(self) -> int:
+        # the dataclass hash over the compared fields, computed once
+        return hash((self.signature, self.axioms, self.name))
+
+
+def _same_signature(*objs) -> RelSignature | None:
+    """The one signature of the operands, None when there are none; operands
+    that hold the same RelSignature object are accepted without comparing or
+    hashing it."""
     if not objs:
-        raise SignatureMismatch("operands use different relational signatures")
+        return None
     sig = objs[0].signature
     for o in objs[1:]:
         if o.signature is not sig and o.signature != sig:
@@ -664,12 +682,17 @@ def _constrain(X: FinStructure, Y: FinStructure, base: int, off: int,
     return True
 
 
-def _sortwise_search(Xs: list, Ys: list, funcs, out: list | None = None) -> int:
+def _sortwise_search(Xs: list, Ys: list, funcs, out: list | None = None,
+                     tests=()) -> int:
     """_search over the families of morphisms Xs[s] -> Ys[s], one per sort.
     The variables are the elements of Xs[0] in carrier order, then those of
     Xs[1], and so on; the values are the carriers of the Ys in one list, each
     sort at its own bit offset.  Solutions come out as flat image tuples, in
-    lexicographic order.
+    lexicographic order.  The empty family has the one empty solution.
+
+    Each (k, test) in tests is called on the partial image once variable k
+    is assigned, ahead of the tests that the morphism and functional
+    constraints place at k.
 
     Each (fn, entries) in funcs is a functional constraint: for every (args,
     r) in entries, the image of variable r equals fn of the tuple of images
@@ -681,6 +704,8 @@ def _sortwise_search(Xs: list, Ys: list, funcs, out: list | None = None) -> int:
     n = sum([len(X.carrier) for X in Xs])
     fwd: list[list] = [[] for _ in range(n)]
     checks: list[list] = [[] for _ in range(n)]
+    for k, test in tests:
+        checks[k].append(test)
     doms: list = []
     values: list = []
     seg: list = []  # per variable: its sort's bit offset and target

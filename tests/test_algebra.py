@@ -11,6 +11,7 @@ from enrvar.algebra import (
     EnrichedSignature,
     EnrichedTheory,
     OpDecl,
+    classical_symbol,
     context_power,
     enumerate_algebras,
     hom_family,
@@ -35,7 +36,7 @@ from enrvar.relcore import (
     terminal,
 )
 from enrvar.dsl import parse_theory
-from enrvar.isoenum import model_families
+from enrvar.isoenum import model_families, models_up_to
 from enrvar.syntax import (
     App,
     Arity,
@@ -364,6 +365,64 @@ class TestHomObjectAgainstBruteFilter:
             hom_object(B, A)
 
 
+# an enriched operation, a relation atom, a nested equation beside a constant,
+# and a relation atom in the empty context
+ORACLE_THEORIES = """
+theory enriched_f {
+  base pos
+  sort M
+  param P {
+    elems [lo, hi]
+    reflexive
+    edge lo <= hi
+  }
+  op f : M -> M @ P
+}
+theory rel_atom {
+  base pos
+  sort M
+  op f : M -> M
+  rel up [x: M] : x <= f(x)
+}
+theory nested {
+  base pos
+  sort M
+  op f : M -> M
+  op c : -> M
+  eq inv [x: M] : f(f(x)) == x
+}
+theory closed_atom {
+  base pos
+  sort M
+  op c : -> M
+  op d : -> M
+  rel cd [] : c <= d
+}
+"""
+
+
+def brute_algebras(T, carrier) -> list[dict]:
+    """Every family of maps P x A^J -> A_S, one per operation, as tables,
+    drawn by itertools.product over the cells (p, point) in operation,
+    parameter and point order, kept when validate_algebra and
+    satisfies_theory accept it."""
+    sig = theory_parts(T)[0]
+    cells = [
+        (classical_symbol(op, p), point, carrier[op.output].carrier)
+        for op in sig.ops
+        for p, point in itertools.product(op.param.carrier, power(carrier, op.inputs).carrier)
+    ]
+    out = []
+    for values in itertools.product(*[ys for _, _, ys in cells]):
+        interp = {classical_symbol(op, p): {} for op in sig.ops for p in op.param.carrier}
+        for (name, point, _), v in zip(cells, values):
+            interp[name][point] = v
+        A = Algebra(sig, dict(carrier), interp)
+        if validate_algebra(A).ok and satisfies_theory(A, T):
+            out.append(interp)
+    return out
+
+
 class TestEnumerateAlgebras:
     def test_no_ops_one_algebra(self):
         T = EnrichedTheory(EnrichedSignature(S, POS, ()), ())
@@ -424,3 +483,14 @@ class TestEnumerateAlgebras:
         for A in algs:
             assert satisfies_theory(A, T)
             assert validate_algebra(A).ok
+
+    def test_agrees_with_brute_filter(self):
+        theories = dict(parse_theory(ORACLE_THEORIES).theories)
+        theories.update(parse_theory((FIXTURES / "cpo_explicit.thy").read_text()).theories)
+        for T in theories.values():
+            found = 0
+            for X in models_up_to(POS, 2):
+                ours = [A.interp for A in enumerate_algebras(T, {"M": X})]
+                assert ours == brute_algebras(T, {"M": X})
+                found += len(ours)
+            assert found

@@ -353,6 +353,16 @@ class TestExponential:
         pairs = {(f[0], g[0]) for rel, (f, g) in E.edges}
         assert pairs == {(a, b) for rel, (a, b) in chain3.edges}
 
+    def test_equal_arguments_built_apart_hit_the_cache(self):
+        X1, X2 = (poset(("a", "b"), [("a", "b")]) for _ in range(2))
+        T1, T2 = builtin_theory("pos"), builtin_theory("pos")
+        assert X1 is not X2 and T1 is not T2
+        assert hash(X1) == hash(X2) and hash(T1) == hash(T2)
+        exponential.cache_clear()
+        E = exponential(X1, X1, T1)
+        assert exponential(X2, X2, T2) is E
+        assert exponential.cache_info().hits == 1
+
     def test_chain_squared_is_three_chain(self, chain2):
         E = exponential(chain2, chain2, POS)
         assert E.carrier == (("a", "a"), ("a", "b"), ("b", "b"))
