@@ -274,7 +274,7 @@ def _hom_structure(
     Ys = [Y[s] for s in sorts.sorts]
     exps = [exponential(A, B, base) for A, B in zip(Xs, Ys)]
     flat: list = []
-    _sortwise_search(Xs, Ys, funcs, flat)
+    _sortwise_search([[A] for A in Xs], Ys, funcs, flat)
     cuts = list(itertools.accumulate([0] + [len(A.carrier) for A in Xs]))
     spans = list(zip(cuts, cuts[1:]))
     fams = [tuple([image[i:j] for i, j in spans]) for image in flat]
@@ -462,8 +462,9 @@ def enumerate_algebras(
     An operation with parameter P, arity J and output sort S is one morphism
     P x A^J -> A_S: as P is reflexive, it preserves edges iff every table is
     a morphism A^J -> A_S and every parameter family is admissible.  The
-    cells are the elements (p, a1, ..., an) of these products, built flat
-    as P x A_1 x ... x A_n, operation by operation, so they run in
+    cells are the elements (p, a1, ..., an) of these products, read flat
+    from the factors P, A_1, ..., A_n without building the product,
+    operation by operation, so they run in
     classical_symbols order and, within a symbol, in point order; the
     algebras come out in the lexicographic order of their tables read that
     way.
@@ -475,14 +476,21 @@ def enumerate_algebras(
     symbol applied to variables reads one known cell; one applied to a
     nested term counts as reading its last cell.  An instance that reads no
     cell is decided up front.  The budget is charged one unit per cell
-    assignment."""
-    sig, equations, relations, chains = theory_parts(T)
-    bgt = ensure_budget(budget)
+    assignment.  A carrier that is missing or no base model raises
+    StructureError."""
+    sig = theory_parts(T)[0]
     for s in sig.sorts.sorts:
         if s not in carrier:
             raise StructureError(f"enumerate_algebras: missing carrier for sort {s}")
         if not is_model(carrier[s], sig.base):
             raise StructureError(f"carrier at sort {s} is not a base model")
+    return _enumerate_algebras(T, carrier, ensure_budget(budget))
+
+
+def _enumerate_algebras(T: Theory, carrier: Mapping[str, FinStructure], bgt: Budget) -> list[Algebra]:
+    """enumerate_algebras on a carrier family already known to hold a base
+    model at every sort, such as one from isoenum.model_families."""
+    sig, equations, relations, chains = theory_parts(T)
     carrier = dict(carrier)
 
     Xs, Ys = [], []
@@ -492,7 +500,7 @@ def enumerate_algebras(
     for op in sig.ops:
         ins = [carrier[s] for s in op.inputs.flat_sorts()]
         points = list(itertools.product(*[A.carrier for A in ins]))
-        Xs.append(product([op.param, *ins]))
+        Xs.append([op.param, *ins])
         Ys.append(carrier[op.output])
         for p in op.param.carrier:
             name = classical_symbol(op, p)
@@ -547,14 +555,8 @@ def enumerate_algebras(
     if not all(test([]) for k, test in instances if k < 0):
         return []
 
-    def charge(image) -> bool:
-        bgt.charge()
-        return True
-
-    tests = [(k, charge) for k in range(n)]
-    tests += [(k, test) for k, test in instances if k >= 0]
     images: list = []
-    _sortwise_search(Xs, Ys, (), images, tests)
+    _sortwise_search(Xs, Ys, (), images, [(k, test) for k, test in instances if k >= 0], bgt)
     return [
         Algebra(sig, carrier, {
             name: {point: image[k] for point, k in cells.items()}

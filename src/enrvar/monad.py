@@ -17,6 +17,7 @@ every operation on its classes has a value, so that its tables are total.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -28,14 +29,14 @@ from .algebra import (
     EnrichedTheory,
     OpDecl,
     Theory,
+    _enumerate_algebras,
     _hom_structure,
     _var_index,
     classical_symbol,
     classical_symbols,
-    context_points,
-    enumerate_algebras,
     eval_term,
     hom_family,
+    hom_object,
     theory_parts,
 )
 from .isoenum import model_families
@@ -48,9 +49,11 @@ from .relcore import (
     RelSignature,
     StructureError,
     _chase,
+    _sortwise_search,
     as_image_tuple,
     chase,
-    enumerate_morphisms,
+    exponential,
+    is_model,
     is_pi_morphism,
     relabel,
     render_id,
@@ -138,8 +141,6 @@ def check_relative_monad(M: RelMonadData) -> MonadReport:
             X = M.obj[J][s]
             if X.signature != M.base.signature:
                 v.append(f"T{J.label()} at {s}: wrong signature")
-            from .relcore import is_model
-
             if not is_model(X, M.base):
                 v.append(f"T{J.label()} at {s}: not a base model")
         eta = M.unit.get(J)
@@ -368,122 +369,117 @@ def enumerate_tj_algebras(
     carrier: Mapping[str, FinStructure],
     budget: Budget | int | None = None,
 ) -> list[TjAlgebra]:
-    """All algebras for the truncation on the fixed carrier, by slotwise
-    backtracking with the unit law folded into candidate generation.  An
-    admissibility edge is checked at the last of its slots, and an instance
-    of the extension law once, when the second of its two slots is assigned:
-    it is watched on its slot (K, x), and from there on the slot (J, x')
-    that the value at (K, x) determines."""
+    """All algebras for the truncation on the fixed carrier, by one
+    _sortwise_search over the cells (J, x, s, p) of the structure maps (after
+    Zhang & Zhang, "SEM: a System for Enumerating Models", IJCAI 1995).
+
+    The sort-s component of the structure map at arity J is one morphism
+    [J, A] x TJ_s -> A_s, where [J, A] = hom_family(arity_object(J), A) has
+    the slots x : J -> A as carrier, in all_maps_into order.  As the base is
+    reflexive, that product's edges make every value a morphism TJ_s -> A_s
+    and the structure map admissible.  One block per (J, s), in arity then
+    sort order, has that product's elements (x, p) as cells, read from its
+    factors.  The algebras come out in the lexicographic order of their
+    cells read (J, x, s, p), values in carrier order: with several sorts
+    the solutions are sorted once into it.
+
+    The unit law narrows each cell (J, x, s, eta_J(j)) to the value x(j).
+    An instance (J, K, k, x) of the extension law asks that the cell
+    (K, x, s, k*(p)) equal (J, x', s, p) for all s and p, where x' is read
+    off the cells of (K, x) at the points of k.  It is one test per slot y
+    of J, guarded by x' = y, at the later of the last cell of (K, x) that
+    it reads and the last cell of (J, y): it is decided as soon as it can
+    be.  The tests that fall on the first of these share one lookup of x'.
+    The budget is charged one unit per cell assignment."""
     bgt = ensure_budget(budget)
     sorts = M.sorts.sorts
     carrier = dict(carrier)
 
-    slots: list[tuple[Arity, KRep]] = []
-    for J in M.arities:
-        for x in all_maps_into(J, carrier, M.sorts):
-            slots.append((J, x))
-    slot_pos = {slot: i for i, slot in enumerate(slots)}
-
-    # per-arity raw candidates (sortwise morphism families TJ -> A)
-    raw: dict[Arity, list[tuple]] = {}
-    eta_positions: dict[Arity, list[tuple[int, int, int]]] = {}
-    for J in M.arities:
-        per_sort = [
-            [as_image_tuple(m, M.obj[J][s]) for m in enumerate_morphisms(M.obj[J][s], carrier[s])]
-            for s in sorts
-        ]
-        raw[J] = [tuple(c) for c in itertools.product(*per_sort)]
-        positions = []
-        eta = M.unit[J]
-        for s, n in J.counts:
-            sidx = M.sorts.position[s]
-            for j in range(n):
-                positions.append((sidx, M.obj[J][s].index[eta[sidx][j]], j))
-        eta_positions[J] = positions
-
-    # admissibility edges, triggered at their last slot
-    adm_at: list[list[tuple[Arity, str, tuple]]] = [[] for _ in slots]
-    hom_cod: dict[Arity, FinStructure] = {}
+    Xs, Ys = [], []
+    slots: dict[Arity, list] = {}  # per arity: the maps x : J -> A
+    spans: dict[Arity, list] = {}  # per arity and slot: its cells per sort, as (start, stop)
+    n = 0
     for J in M.arities:
         jobj = arity_object(M.base, M.sorts, J)
-        xs = all_maps_into(J, carrier, M.sorts)
-        if not xs:
-            continue
-        dom = hom_family(jobj, carrier, M.base, M.sorts)
-        hom_cod[J] = hom_family(M.obj[J], carrier, M.base, M.sorts)
-        for rel in M.base.signature.names:
-            for tup in dom.edges_by_rel[rel]:
-                where = tuple(slot_pos[(J, x)] for x in tup)
-                adm_at[max(where)].append((J, rel, where))
+        exps = [exponential(jobj[s], carrier[s], M.base) for s in sorts]
+        slots[J] = list(itertools.product(*[E.carrier for E in exps]))
+        spans[J] = [[] for _ in slots[J]]
+        for s in sorts:
+            m = len(M.obj[J][s].carrier)
+            Xs.append([*exps, M.obj[J][s]])
+            Ys.append(carrier[s])
+            for i, cells in enumerate(spans[J]):
+                cells.append((n + i * m, n + i * m + m))
+            n += len(slots[J]) * m
 
-    # extension-law instances (J, K, k, x), watched on the slot (K, x): once
-    # it is assigned, x' is known and the instance is checked against the
-    # slot (J, x') if that is assigned, else watched there.  An instance is
-    # thus checked exactly when it becomes decidable.  Per instance: the
-    # candidate positions of x' per sort, and the (sort, K-position,
-    # J-position) pairs the law compares.
-    on_k: list[list[tuple[Arity, tuple, tuple]]] = [[] for _ in slots]
-    for J, K in itertools.product(M.arities, repeat=2):
-        for k in all_maps_into(J, M.obj[K], M.sorts):
-            kstar = M.ext[(J, K, k)]
-            xpos = tuple(
-                tuple(M.obj[K][s].index[x] for x in block) for s, block in zip(sorts, k)
-            )
-            pairs = tuple(
-                (sidx, M.obj[K][s].index[kstar[s][p]], M.obj[J][s].index[p])
-                for sidx, s in enumerate(sorts)
-                for p in M.obj[J][s].carrier
-            )
-            for x in all_maps_into(K, carrier, M.sorts):
-                on_k[slot_pos[(K, x)]].append((J, xpos, pairs))
-    on_j: list[list[tuple[int, tuple]]] = [[] for _ in slots]  # (K-slot, pairs)
+    units: dict = {}  # per value: the unit cells that it fills
+    for J in M.arities:
+        eta = M.unit[J]
+        for x, cells in zip(slots[J], spans[J]):
+            for (start, _), s, ps, vs in zip(cells, sorts, eta, x):
+                index = M.obj[J][s].index
+                for p, v in zip(ps, vs):
+                    units.setdefault(v, []).append(((), start + index[p]))
+    funcs = [(lambda _, v=v: v, entries) for v, entries in units.items()]
 
-    value: list = [None] * len(slots)
-    out: list[TjAlgebra] = []
+    tests = []
+    for J in M.arities:
+        # per slot y of J: its values flat, its cells in (s, p) order and its
+        # last cell, which grows with y
+        ys = [tuple([v for block in y for v in block]) for y in slots[J]]
+        ycells = [[c for a, b in cells for c in range(a, b)] for cells in spans[J]]
+        ylast = [cs[-1] if cs else -1 for cs in ycells]
+        table = dict(zip(ys, zip(ycells, ylast)))
+        for K in M.arities:
+            tk = [M.obj[K][s].index for s in sorts]
+            for k in all_maps_into(J, M.obj[K], M.sorts):
+                kstar = M.ext[(J, K, k)]
+                for cells in spans[K]:
+                    starts = [a for a, _ in cells]
+                    reads = [c + tk[i][q] for i, (c, block) in enumerate(zip(starts, k)) for q in block]
+                    kcells = [
+                        c + tk[i][kstar[s][p]]
+                        for i, (c, s) in enumerate(zip(starts, sorts))
+                        for p in M.obj[J][s].carrier
+                    ]
+                    if not kcells:
+                        continue
+                    at = max(reads + kcells)
 
-    def laws_hold(i: int, cand: tuple, watched: list) -> bool:
-        for ki, pairs in on_j[i]:
-            kc = value[ki]
-            if any(kc[s][a] != cand[s][b] for s, a, b in pairs):
-                return False
-        for J, xpos, pairs in on_k[i]:
-            xprime = tuple(tuple(cand[sidx][q] for q in qs) for sidx, qs in enumerate(xpos))
-            j = slot_pos[(J, xprime)]
-            if j > i:
-                on_j[j].append((i, pairs))
-                watched.append(j)
-            elif any(cand[s][a] != value[j][s][b] for s, a, b in pairs):
-                return False
-        return True
+                    # the slots y complete by then share one test, which looks x' up
+                    def early(image, table=table, reads=reads, kcells=kcells, at=at):
+                        jcells, last = table[tuple([image[c] for c in reads])]
+                        return last > at or [image[c] for c in kcells] == [image[c] for c in jcells]
 
-    def rec(i: int):
-        if i == len(slots):
-            structure: dict[Arity, dict[KRep, tuple]] = {J: {} for J in M.arities}
-            for (J, x), val in zip(slots, value):
-                structure[J][x] = val
-            out.append(TjAlgebra(carrier, structure))
-            return
-        J, x = slots[i]
-        for cand in raw[J]:
-            bgt.charge()
-            if any(
-                cand[sidx][pos] != x[sidx][j] for sidx, pos, j in eta_positions[J]
-            ):
-                continue
-            value[i] = cand
-            ok = all(
-                (rel, tuple(value[q] for q in where)) in hom_cod[aj].edges
-                for aj, rel, where in adm_at[i]
-            )
-            watched: list[int] = []
-            if ok and laws_hold(i, cand, watched):
-                rec(i + 1)
-            for j in watched:
-                on_j[j].pop()
-        value[i] = None
+                    tests.append((at, early))
+                    tests += [
+                        (ylast[i], lambda image, reads=reads, y=ys[i], kcells=kcells, jcells=ycells[i]:
+                            tuple([image[c] for c in reads]) != y
+                            or [image[c] for c in kcells] == [image[c] for c in jcells])
+                        for i in range(bisect.bisect_right(ylast, at), len(ys))
+                    ]
 
-    rec(0)
-    return out
+    images: list = []
+    _sortwise_search(Xs, Ys, funcs, images, tests, bgt)
+    if len(sorts) > 1:
+        order = [
+            (c, carrier[s].index)
+            for J in M.arities
+            for cells in spans[J]
+            for (a, b), s in zip(cells, sorts)
+            for c in range(a, b)
+        ]
+        images.sort(key=lambda image: [index[image[c]] for c, index in order])
+    return [
+        TjAlgebra(carrier, {
+            J: {
+                x: tuple([image[a:b] for a, b in cells])
+                for x, cells in zip(slots[J], spans[J])
+            }
+            for J in M.arities
+        })
+        for image in images
+    ]
 
 
 def verify_presentation(
@@ -500,7 +496,7 @@ def verify_presentation(
     report = EquivalenceReport(label="structure-map unfolding")
     for fam in model_families(M.base, M.sorts, carrier_bound, budget=bgt):
         tj = enumerate_tj_algebras(M, fam, bgt)
-        th = enumerate_algebras(T, fam, bgt)
+        th = _enumerate_algebras(T, fam, bgt)
         th_keys = {A.key(): i for i, A in enumerate(th)}
         ok = len(tj) == len(th)
         detail = "" if ok else "algebra counts differ"
@@ -522,7 +518,7 @@ def verify_presentation(
         if ok:
             for i, j in itertools.product(range(len(tj)), repeat=2):
                 bgt.charge()
-                h_theory = _algebra_hom_structure(mapped[i], mapped[j])
+                h_theory = hom_object(mapped[i], mapped[j])
                 h_tj = _tj_hom_structure(M, tj[i], tj[j])
                 if h_theory.carrier != h_tj.carrier or h_theory.edges != h_tj.edges:
                     ok = False
@@ -542,39 +538,20 @@ def tj_to_algebra(M: RelMonadData, T: EnrichedTheory, A: TjAlgebra) -> Algebra:
     sig = T.signature
     interp: dict[str, dict] = {}
     for J in M.arities:
-        points = list(context_points(A.carrier, canonical_context(J)))
+        xs = all_maps_into(J, A.carrier, M.sorts)
         for s in M.sorts.sorts:
             op = sig.by_name[_op_name(J, s)]
             for p in M.obj[J][s].carrier:
-                table = {}
-                for point in points:
-                    x = _regroup(M, J, point)
-                    table[point] = A.component(M, J, s, p, x)
-                interp[classical_symbol(op, p)] = table
+                interp[classical_symbol(op, p)] = {
+                    flatten_map(x): A.component(M, J, s, p, x) for x in xs
+                }
     return Algebra(sig, A.carrier, interp)
-
-
-def _regroup(M: RelMonadData, J: Arity, flat: tuple) -> KRep:
-    counts = dict(J.counts)
-    out = []
-    i = 0
-    for s in M.sorts.sorts:
-        n = counts.get(s, 0)
-        out.append(tuple(flat[i : i + n]))
-        i += n
-    return tuple(out)
-
-
-def _algebra_hom_structure(A: Algebra, B: Algebra) -> FinStructure:
-    from .algebra import hom_object
-
-    return hom_object(A, B)
 
 
 def _tj_hom_structure(M: RelMonadData, A: TjAlgebra, B: TjAlgebra) -> FinStructure:
     """Substructure of the sortwise hom family on exactly the morphisms of
-    truncation algebras (_is_tj_morphism), in its carrier order, found by
-    the search of hom_object.  The constraints come from the structure maps,
+    truncation algebras, in its carrier order, found by the search of
+    hom_object.  The constraints come from the structure maps,
     not from their unfolded tables: for every arity J, map x : J -> A, sort
     s and point p of TJ_s, the image of A's component at (J, s, p, x) is
     B's component at (J, s, p) of the image of x."""
@@ -584,29 +561,13 @@ def _tj_hom_structure(M: RelMonadData, A: TjAlgebra, B: TjAlgebra) -> FinStructu
     for J in M.arities:
         xs = all_maps_into(J, A.carrier, M.sorts)
         args = [tuple(var[s][v] for s, block in zip(sorts, x) for v in block) for x in xs]
+        ys = {flatten_map(y): y for y in all_maps_into(J, B.carrier, M.sorts)}
         for s in sorts:
             for p in M.obj[J][s].carrier:
                 entries = [(a, var[s][A.component(M, J, s, p, x)]) for a, x in zip(args, xs)]
-                fn = lambda image, J=J, s=s, p=p: B.component(M, J, s, p, _regroup(M, J, image))
+                fn = lambda image, J=J, s=s, p=p, ys=ys: B.component(M, J, s, p, ys[image])
                 funcs.append((fn, entries))
     return _hom_structure(A.carrier, B.carrier, M.base, M.sorts, funcs)
-
-
-def _is_tj_morphism(M: RelMonadData, f: Mapping[str, Mapping], A: TjAlgebra, B: TjAlgebra) -> bool:
-    for s in M.sorts.sorts:
-        if not is_pi_morphism(f[s], A.carrier[s], B.carrier[s]):
-            return False
-    for J in M.arities:
-        for x in all_maps_into(J, A.carrier, M.sorts):
-            fx = tuple(
-                tuple(f[s][v] for v in block)
-                for s, block in zip(M.sorts.sorts, x)
-            )
-            for s_idx, s in enumerate(M.sorts.sorts):
-                for p in M.obj[J][s].carrier:
-                    if f[s][A.component(M, J, s, p, x)] != B.component(M, J, s, p, fx):
-                        return False
-    return True
 
 
 # -- free algebras and the theory-to-truncation direction ------------------------

@@ -9,8 +9,10 @@ all enumeration orders derive from carrier order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from types import SimpleNamespace
 from typing import Hashable, Iterable, Mapping, NamedTuple
 
 Elem = Hashable
@@ -637,15 +639,37 @@ def _search(values, doms: list, fwd: list, checks: list, out: list | None = None
     return total
 
 
+def _product_view(Xs: list):
+    """The product of the non-empty list of structures Xs as _constrain
+    reads it, without building it: the one structure itself, or its
+    signature, edges_by_rel and index, where an element stands for itself by
+    its index, its mixed-radix number with the last factor's digit fastest,
+    which is its position in the carrier of product(Xs)."""
+    if len(Xs) == 1:
+        return Xs[0]
+    *rest, X = Xs
+    out = {}
+    for rel, xs in X.edges_by_rel.items():
+        idx, radix = X.index, len(X.carrier)
+        xs = [tuple([idx[x] for x in t]) for t in xs]
+        for F in reversed(rest):
+            idx = F.index
+            xs = [tuple([idx[x] * radix + b for x, b in zip(t, u)]) for t in F.edges_by_rel[rel] for u in xs]
+            radix *= len(F.carrier)
+        out[rel] = xs
+    size = math.prod([len(F.carrier) for F in Xs])
+    return SimpleNamespace(signature=X.signature, edges_by_rel=out, index=range(size))
+
+
 def _constrain(X: FinStructure, Y: FinStructure, base: int, off: int,
                doms: list, fwd: list, checks: list) -> bool:
-    """Add to a _search the constraints of a morphism X -> Y, with the i-th
-    element of X as variable base + i and the j-th element of Y as bit
-    off + j: a self-loop or a unary edge narrows a domain once, every other
-    binary edge links its earlier element to its later one, and a nullary or
-    wider edge is a membership test at its last element.  False when a
-    nullary edge of X is missing from Y.  X's relations must be Y's; the
-    signatures are not compared."""
+    """Add to a _search the constraints of a morphism X -> Y, X a structure
+    or a _product_view, with the i-th element of X as variable base + i and
+    the j-th element of Y as bit off + j: a self-loop or a unary edge
+    narrows a domain once, every other binary edge links its earlier element
+    to its later one, and a nullary or wider edge is a membership test at
+    its last element.  False when a nullary edge of X is missing from Y.
+    X's relations must be Y's; the signatures are not compared."""
     idx = X.index
     rows = Y.rows
     for rel, ar in X.signature.symbols:
@@ -683,16 +707,19 @@ def _constrain(X: FinStructure, Y: FinStructure, base: int, off: int,
 
 
 def _sortwise_search(Xs: list, Ys: list, funcs, out: list | None = None,
-                     tests=()) -> int:
-    """_search over the families of morphisms Xs[s] -> Ys[s], one per sort.
-    The variables are the elements of Xs[0] in carrier order, then those of
-    Xs[1], and so on; the values are the carriers of the Ys in one list, each
-    sort at its own bit offset.  Solutions come out as flat image tuples, in
+                     tests=(), budget=None) -> int:
+    """_search over the families of morphisms Xs[s] -> Ys[s], one per sort,
+    where each Xs[s] is a non-empty list of structures that stands for their
+    product, which is not built (see _product_view).  The variables are the
+    elements of the product Xs[0] in carrier order, then those of Xs[1], and
+    so on; the values are the carriers of the Ys in one list, each sort at
+    its own bit offset.  Solutions come out as flat image tuples, in
     lexicographic order.  The empty family has the one empty solution.
 
     Each (k, test) in tests is called on the partial image once variable k
     is assigned, ahead of the tests that the morphism and functional
-    constraints place at k.
+    constraints place at k.  A budget, when given, is charged one unit per
+    variable assignment, ahead of them all.
 
     Each (fn, entries) in funcs is a functional constraint: for every (args,
     r) in entries, the image of variable r equals fn of the tuple of images
@@ -700,23 +727,31 @@ def _sortwise_search(Xs: list, Ys: list, funcs, out: list | None = None,
     unary one links its argument to r by a row of fn (a reverse row when r
     comes first), or narrows r to the fixed points of fn when the argument
     is r itself; a wider one is a test at its last variable."""
-    _same_signature(*Xs, *Ys)
-    n = sum([len(X.carrier) for X in Xs])
+    _same_signature(*itertools.chain(*Xs), *Ys)
+    products = [_product_view(X) for X in Xs]
+    n = sum([len(P.index) for P in products])
     fwd: list[list] = [[] for _ in range(n)]
     checks: list[list] = [[] for _ in range(n)]
+    if budget is not None:
+        def charge(image) -> bool:
+            budget.charge()
+            return True
+
+        for c in checks:
+            c.append(charge)
     for k, test in tests:
         checks[k].append(test)
     doms: list = []
     values: list = []
     seg: list = []  # per variable: its sort's bit offset and target
-    for X, Y in zip(Xs, Ys):
+    for P, Y in zip(products, Ys):
         base, off = len(doms), len(values)
-        doms += [((1 << len(Y.carrier)) - 1) << off] * len(X.carrier)
+        doms += [((1 << len(Y.carrier)) - 1) << off] * len(P.index)
         values += Y.carrier
-        if not _constrain(X, Y, base, off, doms, fwd, checks):
+        if not _constrain(P, Y, base, off, doms, fwd, checks):
             return 0
         if funcs:
-            seg += [(off, Y)] * len(X.carrier)
+            seg += [(off, Y)] * len(P.index)
     for fn, entries in funcs:
         imgs: dict = {}  # by argument and result bit offsets: fn's image index per argument
         for args, r in entries:

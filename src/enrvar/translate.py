@@ -17,9 +17,9 @@ from .algebra import (
     EnrichedTheory,
     OpDecl,
     Theory,
+    _enumerate_algebras,
     classical_symbol,
     classical_symbols,
-    enumerate_algebras,
     hom_object,
     interpret_term,
     ordinary_signature,
@@ -456,8 +456,8 @@ def verify_theory_equivalence(
     bgt = ensure_budget(budget)
     report = EquivalenceReport(label=correspondence.label)
     for fam in model_families(sig1.base, sig1.sorts, carrier_bound, budget=bgt):
-        left = enumerate_algebras(T1, fam, bgt)
-        right = enumerate_algebras(T2, fam, bgt)
+        left = _enumerate_algebras(T1, fam, bgt)
+        right = _enumerate_algebras(T2, fam, bgt)
         right_keys = {A.key(): i for i, A in enumerate(right)}
         bijection: list[tuple[int, int]] = []
         ok = len(left) == len(right)

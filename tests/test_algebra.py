@@ -33,6 +33,7 @@ from enrvar.relcore import (
     builtin_theory,
     enumerate_morphisms,
     SignatureMismatch,
+    StructureError,
     terminal,
 )
 from enrvar.dsl import parse_theory
@@ -458,6 +459,15 @@ class TestEnumerateAlgebras:
             assert {tuple(sorted(a.interp["join"].items())) for a in ours} == {
                 tuple(sorted(t["join"].items())) for t in brute
             }
+
+    def test_non_model_carrier_is_refused(self):
+        # a pos structure without its loops is no base model
+        bare = FinStructure(POS.signature, ("0", "1"), frozenset())
+        T = EnrichedTheory(EnrichedSignature(S, POS, ()), ())
+        with pytest.raises(StructureError, match="not a base model"):
+            enumerate_algebras(T, {"M": bare})
+        with pytest.raises(StructureError, match="missing carrier"):
+            enumerate_algebras(T, {})
 
     def test_budget_is_enforced(self):
         sig = ordinary_signature(S, POS, [("mul", J2, "M"), ("f", J1, "M")])

@@ -168,6 +168,16 @@ class TestCommands:
         assert code == 0
         assert "PASS" in out
 
+    def test_verify_presentation_budget_is_one(self, capsys):
+        code, _, err = run(
+            capsys,
+            "verify-presentation", str(FIXTURES / "exception_monad.mnd"),
+            "--max-carrier", "2", "--budget", "10",
+        )
+        assert code == 1
+        assert "enumeration budget of 10 exceeded" in err
+        assert "Traceback" not in err
+
     def test_free_cpo(self, capsys):
         code, out, _ = run(
             capsys, "free-cpo", str(FIXTURES / "presentations.cpo"), "--present", "wedge"

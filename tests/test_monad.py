@@ -13,12 +13,11 @@ from enrvar.algebra import (
     satisfies_theory,
 )
 from enrvar.dsl import parse_theory
-from enrvar.budget import Budget
+from enrvar.budget import Budget, BudgetExceeded
 from enrvar.isoenum import model_families, models_up_to
 from enrvar.monad import (
     RelMonadData,
     TjAlgebra,
-    _is_tj_morphism,
     _tj_hom_structure,
     all_maps_into,
     arity_object,
@@ -33,7 +32,7 @@ from enrvar.monad import (
     tj_to_algebra,
     verify_presentation,
 )
-from enrvar.relcore import FinStructure, StructureError, builtin_theory
+from enrvar.relcore import FinStructure, StructureError, builtin_theory, is_pi_morphism
 from enrvar.syntax import App, Arity, Context, Equation, SortSet, Var, canonical_context
 from enrvar.translate import verify_theory_equivalence
 
@@ -42,6 +41,7 @@ from oracles import brute_morphisms
 
 SET = builtin_theory("set")
 S = SortSet(("A",))
+S2 = SortSet(("A", "B"))
 ARITIES = [Arity.of(S, {}), Arity.of(S, {"A": 1}), Arity.of(S, {"A": 2})]
 
 
@@ -228,19 +228,54 @@ def brute_tj_algebras(M, carrier):
     return out
 
 
+def is_tj_morphism(M, f, A, B):
+    """f, a dict per sort, is a morphism of truncation algebras A -> B:
+    sortwise edge-preserving, and commuting with every structure map, by
+    dict lookups of every component."""
+    for s in M.sorts.sorts:
+        if not is_pi_morphism(f[s], A.carrier[s], B.carrier[s]):
+            return False
+    for J in M.arities:
+        for x in all_maps_into(J, A.carrier, M.sorts):
+            fx = tuple(tuple(f[s][v] for v in block) for s, block in zip(M.sorts.sorts, x))
+            for s in M.sorts.sorts:
+                for p in M.obj[J][s].carrier:
+                    if f[s][A.component(M, J, s, p, x)] != B.component(M, J, s, p, fx):
+                        return False
+    return True
+
+
 def brute_tj_hom_structure(M, A, B):
     """Carrier and edges of _tj_hom_structure by filtering hom_family with
-    _is_tj_morphism."""
+    is_tj_morphism."""
     fam = hom_family(A.carrier, B.carrier, M.base, M.sorts)
     keep = [
         e
         for e in fam.carrier
-        if _is_tj_morphism(
+        if is_tj_morphism(
             M, {s: dict(zip(A.carrier[s].carrier, e[i])) for i, s in enumerate(M.sorts.sorts)}, A, B
         )
     ]
     kept = set(keep)
     return tuple(keep), frozenset(e for e in fam.edges if kept.issuperset(e[1]))
+
+
+# an identity or exception algebra is fixed by its nullary structure map, so
+# their order cannot show how the cells of two sorts interleave; here the
+# slots of the arity A1 take values in both sorts: g x and f x, f g x
+TWO_MAPS = """
+theory two_maps {
+  base set
+  sort A B
+  op g : A -> A
+  op f : A -> B
+  eq idem [x: A] : g(g(x)) == g(x)
+}
+"""
+
+
+def two_maps_truncation(base, sorts, arities):
+    return monad_from_theory(parse_theory(TWO_MAPS).theories["two_maps"], arities)
 
 
 TRUNCATION_CASES = [
@@ -282,19 +317,43 @@ class TestTjAgainstBruteFilters:
             H = _tj_hom_structure(M, A, B)
             assert (H.carrier, H.edges) == brute_tj_hom_structure(M, A, B)
 
+    @pytest.mark.parametrize("make", [identity_truncation, exception_truncation, two_maps_truncation])
+    def test_two_sorts_are_the_filtered_product_in_order(self, make):
+        # the cells of one sort run block by block, but the algebras must
+        # come out in the order of their slots (J, x) and then sorts
+        M = make(SET, S2, [Arity.of(S2, {}), Arity.of(S2, {"A": 1}), Arity.of(S2, {"B": 1})])
+        algs = []
+        for fam in model_families(SET, S2, 2):
+            got = enumerate_tj_algebras(M, fam)
+            assert [A.structure for A in got] == [A.structure for A in brute_tj_algebras(M, fam)]
+            algs += got
+        assert len(algs) > 1
+        for A, B in itertools.product(algs, repeat=2):
+            H = _tj_hom_structure(M, A, B)
+            assert (H.carrier, H.edges) == brute_tj_hom_structure(M, A, B)
+
     @pytest.mark.parametrize(
         "make, used",
-        [(identity_truncation, [1, 3, 21, 91]), (exception_truncation, [0, 3, 82, 813])],
+        [(identity_truncation, [0, 3, 10, 21]), (exception_truncation, [0, 6, 46, 174])],
     )
-    def test_budget_charges_are_unchanged(self, make, used):
-        # one charge per candidate tried, pinned from the search that
-        # re-checked every law instance at every node
+    def test_budget_charges_one_unit_per_cell_assignment(self, make, used):
         M = make(SET, S, ARITIES)
         charged = []
         for n in range(4):
+            carrier = set_carrier(n)
             bgt = Budget()
-            enumerate_tj_algebras(M, set_carrier(n), bgt)
+            algs = enumerate_tj_algebras(M, carrier, bgt)
             charged.append(bgt.used)
+            # every algebra assigns every cell (J, x, s, p) once
+            cells = sum(
+                len(all_maps_into(J, carrier, S)) * sum(len(M.obj[J][s].carrier) for s in S.sorts)
+                for J in M.arities
+            )
+            assert bgt.used >= len(algs) * cells
+            assert len(enumerate_tj_algebras(M, carrier, Budget(bgt.used))) == len(algs)
+            if bgt.used:
+                with pytest.raises(BudgetExceeded):
+                    enumerate_tj_algebras(M, carrier, Budget(bgt.used - 1))
         assert charged == used
 
 
