@@ -27,16 +27,32 @@ from .syntax import (
 )
 
 
-# the base of every free completion, built once so its compiled joins are kept
+# the base of every free completion and the theory of every presentation,
+# built once so that their compiled joins are kept
 _POS = builtin_theory("pos")
+_PREORD = builtin_theory("preord")
 
 
 class IterationNotStabilized(RuntimeError):
     """An iterated chain failed to stabilize within its bound."""
 
 
-def _leq(X: FinStructure, a, b) -> bool:
-    return (LE, (a, b)) in X.edges
+def _top(X: FinStructure, chain: tuple) -> int | None:
+    """The carrier index of the first element of chain that all of chain is
+    below, read from the rows of X's order; None when two positions of chain
+    hold incomparable elements, or when there is no such element."""
+    succ, pred, _ = X.rows[LE]
+    ps = [X.index[u] for u in chain]
+    members = 0
+    for i in ps:
+        members |= 1 << i
+    for i, j in itertools.combinations(ps, 2):
+        if not (succ[i] >> j & 1 or succ[j] >> i & 1):
+            return None
+    for i in ps:
+        if not members & ~pred[i]:
+            return i
+    return None
 
 
 @dataclass(frozen=True)
@@ -48,7 +64,7 @@ class CpoPresentation:
     covers: tuple[tuple[object, tuple], ...] = ()
 
     def __post_init__(self):
-        if not is_model(self.preorder, builtin_theory("preord")):
+        if not is_model(self.preorder, _PREORD):
             raise StructureError("presentation carrier must be a preorder")
         members = set(self.preorder.carrier)
         for p, chain in self.covers:
@@ -57,9 +73,8 @@ class CpoPresentation:
             for u in chain:
                 if u not in members:
                     raise StructureError("cover sets must lie in the carrier")
-            for u, v in itertools.combinations(chain, 2):
-                if not (_leq(self.preorder, u, v) or _leq(self.preorder, v, u)):
-                    raise StructureError("cover sets must be chains in the preorder")
+            if _top(self.preorder, chain) is None:
+                raise StructureError("cover sets must be chains in the preorder")
 
 
 def poset_as_presentation(X: FinStructure) -> CpoPresentation:
@@ -74,22 +89,14 @@ def cover_holds(P: CpoPresentation | FinStructure, p, chain: Iterable) -> bool:
     posets regarded as presentations answer semantically."""
     chain = tuple(chain)
     if isinstance(P, FinStructure):
-        X = P
-        for u, v in itertools.combinations(chain, 2):
-            if not (_leq(X, u, v) or _leq(X, v, u)):
-                return False
-        top = _greatest(X, chain)
-        return top is not None and _leq(X, p, top)
+        try:
+            top = _top(P, chain)
+        except KeyError:  # an element outside the carrier
+            return False
+        return top is not None and p in P.index and P.rows[LE][0][P.index[p]] >> top & 1 == 1
     return any(
         q == p and set(ch) == set(chain) for q, ch in P.covers
     )
-
-
-def _greatest(X: FinStructure, chain: tuple):
-    for u in chain:
-        if all(_leq(X, v, u) for v in chain):
-            return u
-    return None
 
 
 def free_omega_cpo(P: CpoPresentation) -> tuple[FinStructure, dict]:
@@ -102,7 +109,7 @@ def free_omega_cpo(P: CpoPresentation) -> tuple[FinStructure, dict]:
     representatives (earliest in carrier order) and preserves covers.
     """
     X = P.preorder
-    cover_edges = {(LE, (p, _greatest(X, chain))) for p, chain in P.covers}
+    cover_edges = {(LE, (p, X.carrier[_top(X, chain)])) for p, chain in P.covers}
     raw = FinStructure(X.signature, X.carrier, X.edges | cover_edges)
     return chase(raw, _POS)
 
@@ -117,8 +124,10 @@ def is_presentation_morphism(
     for x in X.carrier:
         if x not in f:
             raise StructureError(f"map is not total: {x!r} unassigned")
-    for rel, (a, b) in X.edges:
-        if rel == LE and not _leq(QX, f[a], f[b]):
+    succ, idx = QX.rows[LE][0], QX.index
+    for a, b in X.edges_by_rel[LE]:
+        i, j = idx.get(f[a]), idx.get(f[b])
+        if i is None or j is None or not succ[i] >> j & 1:
             return False
     for p, chain in P.covers:
         if not cover_holds(Q, f[p], tuple(f[u] for u in chain)):
@@ -131,8 +140,10 @@ def is_presentation_morphism(
 def _table_leq(dom: FinStructure, cod: FinStructure, ta: Mapping, tb: Mapping) -> bool:
     """Order of the internal hom: every <=-edge of the domain maps to a
     <=-edge of the codomain across the two tables."""
+    succ, idx = cod.rows[LE][0], cod.index
     for a, b in dom.edges_by_rel[LE]:
-        if not _leq(cod, ta[a], tb[b]):
+        i, j = idx.get(ta[a]), idx.get(tb[b])
+        if i is None or j is None or not succ[i] >> j & 1:
             return False
     return True
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .budget import Budget, ensure_budget
@@ -84,6 +85,11 @@ class RelMonadData:
 
     def count(self, J: Arity, s: str) -> int:
         return dict(J.counts).get(s, 0)
+
+    @cached_property
+    def arity_objects(self) -> dict[Arity, dict[str, FinStructure]]:
+        """arity_object of every arity, chased once per truncation."""
+        return {J: arity_object(self.base, self.sorts, J) for J in self.arities}
 
 
 def arity_object(base: HornTheory, sorts: SortSet, J: Arity) -> dict[str, FinStructure]:
@@ -205,7 +211,7 @@ def check_relative_monad(M: RelMonadData) -> MonadReport:
                             )
     # admissibility of ext
     for J, K in itertools.product(M.arities, repeat=2):
-        jobj = arity_object(M.base, M.sorts, J)
+        jobj = M.arity_objects[J]
         ks = all_maps_into(J, M.obj[K], M.sorts)
         if not ks:
             continue
@@ -332,7 +338,7 @@ def is_tj_algebra(A: TjAlgebra, M: RelMonadData) -> bool:
                     if A.component(M, J, s, eta[sidx][j], x) != x[sidx][j]:
                         return False
         # admissibility of the structure map
-        jobj = arity_object(M.base, M.sorts, J)
+        jobj = M.arity_objects[J]
         dom = hom_family(jobj, A.carrier, M.base, M.sorts)
         cod = hom_family(M.obj[J], A.carrier, M.base, M.sorts)
         codset = set(cod.carrier)
@@ -400,7 +406,7 @@ def enumerate_tj_algebras(
     spans: dict[Arity, list] = {}  # per arity and slot: its cells per sort, as (start, stop)
     n = 0
     for J in M.arities:
-        jobj = arity_object(M.base, M.sorts, J)
+        jobj = M.arity_objects[J]
         exps = [exponential(jobj[s], carrier[s], M.base) for s in sorts]
         slots[J] = list(itertools.product(*[E.carrier for E in exps]))
         spans[J] = [[] for _ in slots[J]]

@@ -113,28 +113,40 @@ class FinStructure:
 
     @cached_property
     def rows(self) -> dict:
-        """Bit masks over carrier indices.  A binary relation gives (succ,
-        pred, loops): the successor and predecessor row of each element and
-        the mask of elements with a self-loop; a unary one, its member mask."""
-        idx = self.index
-        n = len(self.carrier)
-        rows: dict = {}
-        for rel, ar in self.signature.symbols:
-            if ar == 1:
-                rows[rel] = sum(1 << idx[a] for (a,) in self.edges_by_rel[rel])
-            elif ar == 2:
-                succ, pred, loops = [0] * n, [0] * n, 0
-                for a, b in self.edges_by_rel[rel]:
-                    i, j = idx[a], idx[b]
-                    succ[i] |= 1 << j
-                    pred[j] |= 1 << i
-                    if i == j:
-                        loops |= 1 << i
-                rows[rel] = (succ, pred, loops)
-        return rows
+        """The relations over carrier indices, read-only.  A binary relation
+        gives [succ, pred, loops]: the bit rows of each element's successors
+        and predecessors and the mask of self-loops; a unary one, its member
+        mask; a nullary one, whether it holds; a wider one, its index tuples."""
+        return _rows(self.signature, self.index, self.edges)
 
     def size(self) -> int:
         return len(self.carrier)
+
+
+def _rows(signature: RelSignature, index: Mapping, edges: Iterable) -> dict:
+    """Fresh rows (see FinStructure.rows) of edges, elements numbered by index."""
+    n = len(index)
+    rows = {
+        rel: [[0] * n, [0] * n, 0] if ar == 2 else set() if ar > 2 else 0
+        for rel, ar in signature.symbols
+    }
+    for rel, tup in edges:
+        _add(rows, rel, tuple([index[x] for x in tup]))
+    return rows
+
+
+def _add(rows: dict, rel, t: tuple) -> None:
+    """Add the edge t, a tuple of indices, to rows in place."""
+    state = rows[rel]
+    if len(t) == 2:
+        i, j = t
+        state[0][i] |= 1 << j
+        state[1][j] |= 1 << i
+        state[2] |= (i == j) << i
+    elif len(t) > 2:
+        state.add(t)
+    else:
+        rows[rel] = state | 1 << t[0] if t else True
 
 
 @dataclass(frozen=True)
@@ -148,27 +160,36 @@ class HornFormula:
     premises: frozenset
     conclusion: Edge
 
-    def variables(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for _, tup in sorted(self.premises):
-            for v in tup:
-                seen.setdefault(v, None)
-        for v in self.conclusion[1]:
-            seen.setdefault(v, None)
-        return tuple(seen)
-
     @cached_property
-    def plan(self) -> _Plan:
-        """The premises compiled into one join plan per premise."""
-        return _compile(self)
-
-    @cached_property
-    def pattern(self) -> FinStructure:
-        """The premises as a structure on the variables, in plan's slot order,
-        over just the premise relations: a premise match in X is a morphism
-        pattern -> X (Chandra & Merlin, STOC 1977)."""
-        sig = RelSignature(tuple(sorted({(rel, len(tup)) for rel, tup in self.premises})))
-        return FinStructure(sig, self.variables(), self.premises)
+    def joins(self) -> tuple[_Join, ...]:
+        """The formula compiled once for the search kernel: one _Join seeded
+        by each premise in sorted order, or one unseeded; none when the
+        conclusion is x = x.  The seed's variables come first, then those of
+        the premise with the most placed already (the first on ties), then
+        the conclusion-only ones, and last the conclusion's last variable."""
+        crel, ctup = self.conclusion
+        if crel in _EQ_SPELLINGS and ctup[0] == ctup[1]:
+            return ()
+        premises = sorted(self.premises)
+        sig = RelSignature(tuple(sorted({(rel, len(tup)) for rel, tup in premises})))
+        last = ctup[-1:]
+        joins = []
+        for seed in premises or [None]:
+            rest = [a for a in premises if a != seed]
+            order = dict.fromkeys(v for v in (seed[1] if seed else ()) if v not in last)
+            while rest:
+                atom = max(rest, key=lambda a: sum(v in order for v in a[1]))
+                rest.remove(atom)
+                order.update(dict.fromkeys(v for v in atom[1] if v not in last))
+            order.update(dict.fromkeys(v for v in ctup if v not in last))
+            pattern = FinStructure(sig, (*order, *last), frozenset(premises))
+            joins.append(_Join(
+                pattern,
+                FinStructure(sig, pattern.carrier, pattern.edges - {seed}),
+                seed and (seed[0], tuple([pattern.index[v] for v in seed[1]])),
+                (crel, tuple([pattern.index[v] for v in ctup])),
+            ))
+        return tuple(joins)
 
 
 def reflexivity_formula(rel: str, ar: int) -> HornFormula:
@@ -251,14 +272,66 @@ def is_pi_morphism(f: Mapping, X: FinStructure, Y: FinStructure) -> bool:
     return True
 
 
-# -- satisfaction ------------------------------------------------------------
+# -- satisfaction and the chase ------------------------------------------------
+
+class _Join(NamedTuple):
+    """One search of a formula (HornFormula.joins): pattern is the premises
+    on the variables in search order, so that a match in X is a morphism
+    pattern -> X (Chandra & Merlin, STOC 1977), and rest is pattern less the
+    seed; seed and conclusion are a relation and its variables' positions."""
+
+    pattern: FinStructure
+    rest: FinStructure
+    seed: tuple | None
+    conclusion: tuple
+
+
+def _fire(join: _Join, Y, alive: int, record, seed=None, tries=None) -> bool:
+    """Search the matches of join's premises in Y (see _constrain), within
+    the mask alive, for the instances at which the conclusion fails; with
+    seed, the trie of the seed's edges (_trie, or () when it is nullary),
+    the seed reads only those.  The conclusion's last variable is not
+    enumerated: its domain, less the values at which the conclusion holds,
+    goes to record(rel, inst, mask), inst being the conclusion's values with
+    None there (a nullary one gives mask 1).  A true result stops the
+    search, which then returns True."""
+    crel, cps = join.conclusion
+    n = len(join.pattern.carrier)
+    doms = [alive] * n
+    fwd: list[list] = [[] for _ in range(n)]
+    deep: dict = {}
+    if not _constrain(join.pattern if seed is None else join.rest, Y, 0, 0, doms, fwd, deep, tries):
+        return False
+    if seed:
+        _bind(seed, join.seed[1], doms, fwd, deep)
+    held = Y.rows.get(crel)  # None for an equality
+    last = n - 1
+    if not cps:
+        return not held and _search(Y.carrier, doms, fwd, [()] * n, deep=deep) > 0 and record(crel, (), 1)
+    if len(cps) == 1:
+        doms[last] &= ~held
+    elif len(cps) == 2 and held is not None:
+        if cps[0] == last:
+            doms[last] &= ~held[2]
+        else:
+            fwd[cps[0]].append((last, [alive & ~r for r in held[0]]))
+
+    def final(image, mask):
+        if held is None:
+            mask &= ~(1 << image[cps[0]])
+        elif len(cps) > 2:
+            for v in _bits(mask):
+                if tuple([v if p == last else image[p] for p in cps]) in held:
+                    mask ^= 1 << v
+        return mask and record(crel, tuple([None if p == last else image[p] for p in cps]), mask)
+
+    return bool(_search(Y.carrier, doms, fwd, [()] * n, deep=deep, final=final))
+
 
 def satisfies_formula(X: FinStructure, phi: HornFormula) -> bool:
     """True iff every valuation making the premises edges of X also makes the
-    conclusion hold (with equality interpreted as the diagonal).  One _search,
-    stopped at its first solution, looks for a counterexample: a morphism
-    phi.pattern -> X that also meets the negated conclusion, as complemented
-    rows or masks or, for a wider relation, a test at its last variable."""
+    conclusion hold (with equality interpreted as the diagonal): one search
+    of phi's first join (_fire), stopped at the first failing instance."""
     arity = X.signature.arity
     for rel, tup in phi.premises:
         if rel not in arity or len(tup) != arity[rel]:
@@ -266,133 +339,9 @@ def satisfies_formula(X: FinStructure, phi: HornFormula) -> bool:
     crel, ctup = phi.conclusion
     if crel not in _EQ_SPELLINGS and (crel not in arity or len(ctup) != arity[crel]):
         raise SignatureMismatch(f"formula conclusion misuses relation {crel!r}")
-    pattern = phi.pattern
-    n, m = len(pattern.carrier), len(X.carrier)
-    full = (1 << m) - 1
-    doms = [full] * n
-    fwd: list[list] = [[] for _ in range(n)]
-    checks: list[list] = [[] for _ in range(n)]
-    if not _constrain(pattern, X, 0, 0, doms, fwd, checks):
-        return True
-    ps = [pattern.index[v] for v in ctup]
-    if len(ps) == 2:
-        if crel in _EQ_SPELLINGS:
-            succ = pred = [1 << v for v in range(m)]
-            loops = full
-        else:
-            succ, pred, loops = X.rows[crel]
-        i, j = ps
-        if i == j:
-            doms[i] &= full ^ loops
-        elif i < j:
-            fwd[i].append((j, [full ^ r for r in succ]))
-        else:
-            fwd[j].append((i, [full ^ r for r in pred]))
-    elif len(ps) == 1:
-        doms[ps[0]] &= full ^ X.rows[crel]
-    elif not ps:
-        if (crel, ()) in X.edges:
-            return True
-    else:
-        checks[max(ps)].append(
-            lambda image: (crel, tuple([image[i] for i in ps])) not in X.edges
-        )
-    return not _search(X.carrier, doms, fwd, checks, first=True)
-
-
-# -- compiled join -------------------------------------------------------------
-
-class _Plan(NamedTuple):
-    """A formula compiled for _join, variables as slots of a valuation list:
-    per premise in sorted order, the steps of a join seeded from it.  A step
-    (rel, key, binds, tests, check) either tests the edge on the slots in
-    check, or takes the rel tuples with the bound (position, slot) key (all
-    of them if key is None), binds the pairs in binds and checks the pairs in
-    tests.  free are the slots of the conclusion-only variables."""
-
-    nslots: int
-    seeded: tuple
-    rel: str
-    conclusion: tuple
-    free: tuple
-
-
-def _compile(phi: HornFormula) -> _Plan:
-    slot = {v: i for i, v in enumerate(phi.variables())}
-    premises = sorted(phi.premises)
-    seeded = []
-    for seed in premises:
-        bound: set = set()
-        rest, steps = list(premises), []
-        while rest:
-            # the seed, then fully bound premises, then lookups (most bound
-            # positions first), then scans
-            rel, tup = min(rest, key=lambda a: (
-                a != seed, not bound.issuperset(a[1]), -sum(v in bound for v in a[1])))
-            rest.remove((rel, tup))
-            if bound.issuperset(tup):
-                steps.append((rel, None, (), (), tuple(slot[v] for v in tup)))
-                continue
-            before = set(bound)
-            key, binds, tests = None, [], []
-            for p, v in enumerate(tup):
-                if key is None and v in before:
-                    key = (p, slot[v])
-                elif v in bound:
-                    tests.append((p, slot[v]))
-                else:
-                    bound.add(v)
-                    binds.append((p, slot[v]))
-            steps.append((rel, key, tuple(binds), tuple(tests), None))
-        seeded.append(tuple(steps))
-    crel, cvars = phi.conclusion
-    pvars = {v for _, tup in premises for v in tup}
-    free = tuple(slot[v] for v in dict.fromkeys(cvars) if v not in pvars)
-    return _Plan(len(slot), tuple(seeded), crel, tuple(slot[v] for v in cvars), free)
-
-
-def _join(ix: _EdgeIndex, steps: tuple, k: int, env: list, emit, cands=None) -> None:
-    """Extend the valuation env through steps[k:] over the edges of ix,
-    passing each full valuation to emit as it is found.  cands, when given,
-    are the candidate tuples of steps[k]: the seed edges of a chase round."""
-    rel, key, binds, tests, check = steps[k]
-    if cands is None and check is not None:
-        cands = ((),) if (rel, tuple([env[s] for s in check])) in ix.edges else ()
-    elif cands is None:
-        cands = ix.edges_by_rel[rel] if key is None else ix.by_pos[rel][key[0]].get(env[key[1]], ())
-    last = k + 1 == len(steps)
-    for tup in cands:
-        for p, s in binds:
-            env[s] = tup[p]
-        for p, s in tests:
-            if tup[p] != env[s]:
-                break
-        else:
-            if last:
-                emit(env)
-            else:
-                _join(ix, steps, k + 1, env, emit)
-
-
-def _consequences(plan: _Plan, carrier, edges, found: set):
-    """The emit of a join: adds to found each instance of the conclusion under
-    the valuation, over every choice of the conclusion-only variables, that
-    does not hold in edges."""
-    crel, cslots, free = plan.rel, plan.conclusion, plan.free
-    is_eq = crel in _EQ_SPELLINGS
-
-    def emit(env):
-        inst = tuple([env[s] for s in cslots])
-        if inst[0] != inst[1] if is_eq else (crel, inst) not in edges:
-            found.add((crel, inst))
-
-    def emit_free(env):
-        for choice in itertools.product(carrier, repeat=len(free)):
-            for s, x in zip(free, choice):
-                env[s] = x
-            emit(env)
-
-    return emit_free if free else emit
+    m = len(X.carrier)
+    Y = SimpleNamespace(rows=X.rows, carrier=range(m))
+    return not phi.joins or not _fire(phi.joins[0], Y, (1 << m) - 1, lambda *_: True)
 
 
 def is_model(X: FinStructure, T: HornTheory) -> bool:
@@ -400,58 +349,65 @@ def is_model(X: FinStructure, T: HornTheory) -> bool:
     return all(satisfies_formula(X, ax) for ax in T.axioms)
 
 
-# -- chase -------------------------------------------------------------------
-
 class ChaseResult(NamedTuple):
     model: FinStructure
     unit: dict
 
 
-class _EdgeIndex:
-    """A growing edge set with the lookups _join reads, under the attribute
-    names of FinStructure."""
-
-    def __init__(self, signature: RelSignature, edges: Iterable = ()):
-        self.edges: set = set()
-        self.edges_by_rel: dict[str, list] = {n: [] for n in signature.names}
-        self.by_pos = {n: tuple({} for _ in range(ar)) for n, ar in signature.symbols}
-        self.add(edges)
-
-    def add(self, edges: Iterable) -> dict[str, list]:
-        """Add edges; return the ones not present before, by relation."""
-        fresh: dict[str, list] = {}
-        for e in edges:
-            if e not in self.edges:
-                self.edges.add(e)
-                rel, tup = e
-                self.edges_by_rel[rel].append(tup)
-                for p, x in enumerate(tup):
-                    self.by_pos[rel][p].setdefault(x, []).append(tup)
-                fresh.setdefault(rel, []).append(tup)
-        return fresh
-
-
 def chase(X: FinStructure, T: HornTheory) -> ChaseResult:
     """Free T-model on X: saturate edges under relational conclusions and
-    merge elements under equality conclusions, to a joint fixpoint.
-
-    Semi-naive: each round seeds every axiom's compiled join only from the
-    edges new since the previous round (all of X's in the first, which alone
-    fires premise-free axioms), over one edge set indexed in place.  A merge
-    renames edges to their representatives, and the renamed edges join the
-    round's new ones.  The returned unit maps each original element to its
-    representative; merged classes keep the element earliest in carrier order.
-    """
+    merge elements under equality conclusions, to a joint fixpoint.  The
+    unit maps each original element to its representative; merged classes
+    keep the element earliest in carrier order.  See _chase."""
     _same_signature(X, T)
     return _chase(X, T.signature, T.axioms)
 
 
+def _absorb(state: list, b: int, r: int) -> list:
+    """Merge element b of a binary relation [succ, pred, loops] into r in
+    place, ORing b's row and column into r's; return the pairs r gains."""
+    succ, pred, loops = state
+    B, R = 1 << b, 1 << r
+    out, inn = succ[b], pred[b]
+    succ[b] = pred[b] = 0
+    if out & B:  # the loop at b becomes one at r
+        out, inn = out ^ B | R, inn ^ B | R
+    gained = [(r, j) for j in _bits(out & ~succ[r])] + [(i, r) for i in _bits(inn & ~pred[r])]
+    succ[r] |= out
+    pred[r] |= inn
+    for j in _bits(out):
+        pred[j] = pred[j] & ~B | R
+    for i in _bits(inn):
+        succ[i] = succ[i] & ~B | R
+    state[2] = loops & ~B | (succ[r] >> r & 1) << r
+    return gained
+
+
 def _chase(X: FinStructure, signature: RelSignature, axioms: tuple) -> ChaseResult:
     """The chase of X, whose edges are over signature, under axioms that
-    need not include reflexivity axioms; the model is over signature."""
+    need not include reflexivity axioms; the model is over signature.
+
+    Semi-naive on the search kernel, after Bancilhon & Ramakrishnan, "An
+    Amateur's Introduction to Recursive Query Processing Strategies"
+    (SIGMOD 1986), over rows of X's carrier indices (FinStructure.rows)
+    updated in place.  A first round fires the premise-free axioms and a
+    second each other axiom's first join, over all the rows; a later round
+    fires, per axiom, the join of each premise whose relation gained edges
+    in the round before, that premise reading only those.  The failing
+    conclusion instances (_fire) are the new edges or the merges; a merge
+    keeps the element earlier in carrier order and ORs the other's rows and
+    columns into its own."""
+    arity = signature.arity
     original = X.carrier
-    pos = {x: i for i, x in enumerate(original)}
-    parent = {x: x for x in original}
+    values = range(len(original))
+    rows = _rows(signature, X.index, X.edges)
+    full = SimpleNamespace(rows=rows, carrier=values)
+    parent = list(values)
+    alive = (1 << len(original)) - 1
+    found: dict = {}  # per failing conclusion instance: the mask of its last variable
+
+    def record(rel, inst, mask):
+        found[rel, inst] = found.get((rel, inst), 0) | mask
 
     def find(x):
         while parent[x] != x:
@@ -459,42 +415,58 @@ def _chase(X: FinStructure, signature: RelSignature, axioms: tuple) -> ChaseResu
             x = parent[x]
         return x
 
-    carrier = list(original)
-    ix = _EdgeIndex(signature)
-    delta = ix.add(X.edges)
-    first = True
+    stage = 0  # the round: 0, 1 or, from then on, 2
     while True:
-        found: set = set()
+        tries: dict = {}  # of the rows' wider relations, for _constrain
+        seeds: dict = {}  # of the delta, per seed premise
         for ax in axioms:
-            plan = ax.plan
-            emit = _consequences(plan, carrier, ix.edges, found)
-            env = [None] * plan.nslots
-            if first and not plan.seeded:
-                emit(env)
-            # every valuation of the first round is new, and one seed finds it
-            for steps in plan.seeded[:1] if first else plan.seeded:
-                if steps[0][0] in delta:
-                    _join(ix, steps, 0, env, emit, delta[steps[0][0]])
-        first = False
-        merges = [inst for rel, inst in found if rel in _EQ_SPELLINGS]
-        if merges:
-            for a, b in merges:
-                ra, rb = sorted((find(a), find(b)), key=pos.__getitem__)
-                parent[rb] = ra
-            carrier = [x for x in carrier if find(x) == x]
-            edges = ix.edges
-            ix = _EdgeIndex(signature, (e for e in edges if all(find(x) == x for x in e[1])))
-            delta = ix.add(
-                (rel, tuple([find(x) for x in tup]))
-                for rel, tup in itertools.chain(edges, found)
-                if rel not in _EQ_SPELLINGS
-            )
-        elif found:
-            delta = ix.add(found)
-        else:
+            for join in ax.joins if stage == 2 else ax.joins[:1]:
+                if stage < 2 and (join.seed is None) == (stage == 0):
+                    _fire(join, full, alive, record, None, tries)
+                elif stage == 2 and join.seed and join.seed[0] in delta:
+                    if join.seed not in seeds:
+                        seeds[join.seed] = join.seed[1] and _trie(delta[join.seed[0]], join.seed[1], values)
+                    _fire(join, full, alive, record, seeds[join.seed], tries)
+        delta = {}  # per relation: the edges it gained in this round
+        for (rel, inst), mask in found.items():
+            for v in _bits(mask):
+                t = tuple([v if x is None else x for x in inst])
+                if rel in _EQ_SPELLINGS:
+                    a, b = find(t[0]), find(v)
+                    parent[max(a, b)] = min(a, b)
+                else:
+                    _add(rows, rel, t)
+                    delta.setdefault(rel, set()).add(t)
+        merged = any(rel in _EQ_SPELLINGS for rel, _ in found)
+        found.clear()
+        for b in _bits(alive) if merged else ():
+            r = find(b)
+            if r != b:
+                alive ^= 1 << b
+                for rel, st in rows.items():
+                    if arity[rel] == 2:
+                        delta.setdefault(rel, set()).update(_absorb(st, b, r))
+                    elif arity[rel] == 1 and st >> b & 1:
+                        rows[rel] = st ^ 1 << b | 1 << r
+                        delta.setdefault(rel, set()).add((r,))
+        for rel, st in rows.items():
+            if merged and arity[rel] > 2:
+                rows[rel] = {tuple([find(x) for x in t]) for t in st}
+                delta.setdefault(rel, set()).update(rows[rel] - st)
+        delta = {rel: d for rel, d in delta.items() if d}
+        if stage and not delta:
             break
-    model = FinStructure(signature, tuple(carrier), frozenset(ix.edges))
-    return ChaseResult(model, {x: find(x) for x in original})
+        stage = min(stage + 1, 2)
+    edges = []
+    for rel, st in rows.items():
+        if arity[rel] == 2:
+            edges += [(rel, (original[i], original[j])) for i, row in enumerate(st[0]) if row for j in _bits(row)]
+        elif arity[rel] == 1:
+            edges += [(rel, (original[i],)) for i in _bits(st)]
+        else:
+            edges += [(rel, tuple([original[i] for i in t])) for t in (st if arity[rel] else [()] if st else [])]
+    model = FinStructure(signature, tuple([original[i] for i in _bits(alive)]), frozenset(edges))
+    return ChaseResult(model, {x: original[find(i)] for i, x in enumerate(original)})
 
 
 # -- products and exponentials -------------------------------------------------
@@ -582,7 +554,7 @@ def relabel(X: FinStructure, mapping: Mapping) -> FinStructure:
 # -- search --------------------------------------------------------------------
 
 def _search(values, doms: list, fwd: list, checks: list, out: list | None = None,
-            first: bool = False) -> int:
+            deep: dict | None = None, final=None) -> int:
     """Forward-checking search over variables 0..n-1, after Mackworth,
     "Consistency in Networks of Relations" (AIJ 1977).
 
@@ -590,11 +562,13 @@ def _search(values, doms: list, fwd: list, checks: list, out: list | None = None
     values.  Variables are assigned in order and bits lowest first, so the
     solutions come out lexicographically.  Assigning k to bit v ANDs rows[v]
     into the domain of each later variable j, for every (j, rows) in fwd[k],
-    and backtracks when one becomes empty.  Each test in checks[k] is called
-    on the partial image (the list of assigned values) once k is assigned.
-    Returns the number of solutions and appends each, as a tuple of values,
-    to out when given; with first, stops at the first solution, so the
-    number is 0 or 1."""
+    and the trie levels in deep[k] after them (see _deepen), and backtracks
+    when a domain becomes empty.  Each test in checks[k] is called on the
+    partial image (the list of assigned values) once k is assigned.  Returns
+    the number of solutions and appends each, as a tuple of values, to out
+    when given.  With final, the last variable is not enumerated: final is
+    called on the partial image and its narrowed domain instead, and a true
+    result counts as the one solution and stops the search."""
     n = len(doms)
     if not all(doms):
         return 0
@@ -604,12 +578,19 @@ def _search(values, doms: list, fwd: list, checks: list, out: list | None = None
         return 1
     image = [None] * n
     last = n - 1
+    stop = last if final else n
     total = 0
 
     def rec(k: int, doms: list) -> bool:
         nonlocal total
         d = doms[k]
+        if k == stop:
+            if final(image, d):
+                total = 1
+                return True
+            return False
         tests, links = checks[k], fwd[k]
+        levels = deep.get(k) if deep else None
         while d:
             low = d & -d
             d ^= low
@@ -621,22 +602,75 @@ def _search(values, doms: list, fwd: list, checks: list, out: list | None = None
                 total += 1
                 if out is not None:
                     out.append(tuple(image))
-                if first:
-                    return True
                 continue
-            nd = doms[:] if links else doms
+            nd = doms[:] if links or levels else doms
             for j, rows in links:
                 m = nd[j] & rows[v]
                 if not m:
                     break
                 nd[j] = m
             else:
+                if levels and not _deepen(levels, nd, image):
+                    continue
                 if rec(k + 1, nd):
                     return True
         return False
 
     rec(0, doms)
     return total
+
+
+def _deepen(levels: list, doms: list, image: list) -> bool:
+    """Narrow the domain of j by table[the values of ps], for each (j,
+    table, ps) in levels; False when one becomes empty."""
+    for j, table, ps in levels:
+        doms[j] &= table.get(tuple([image[p] for p in ps]), 0)
+        if not doms[j]:
+            return False
+    return True
+
+
+def _bits(m: int):
+    """The set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _trie(tuples, ps: tuple, vals, off: int = 0) -> list:
+    """The trie of an atom with the search variables ps at its positions,
+    from its relation's edges as index tuples into vals (vals[i] is bit
+    off + i), after Veldhuizen, "Leapfrog Triejoin" (ICDT 2014).  For its
+    distinct variables u_1 < ... < u_k, level 1 is the mask of u_1, level 2
+    the mask of u_2 per bit of u_1, and level j the mask of u_j per tuple of
+    values of u_1 ... u_{j-1}.  A repeated variable is an equality test."""
+    us = sorted(set(ps))
+    at = [ps.index(u) for u in us]
+    same = [(p, ps.index(u)) for p, u in enumerate(ps) if ps.index(u) != p]
+    levels = [0, [0] * (off + len(vals))] + [{} for _ in us[2:]]
+    for t in tuples:
+        if same and any(t[p] != t[q] for p, q in same):
+            continue
+        key = [t[p] for p in at]
+        levels[0] |= 1 << off + key[0]
+        if len(us) > 1:
+            levels[1][off + key[0]] |= 1 << off + key[1]
+        for j in range(2, len(us)):
+            pre = tuple([vals[x] for x in key[:j]])
+            levels[j][pre] = levels[j].get(pre, 0) | 1 << off + key[j]
+    return levels
+
+
+def _bind(levels: list, ps: tuple, doms: list, fwd: list, deep: dict) -> None:
+    """Add the trie of an atom over the variables ps (see _trie) to the
+    domains, links and deeper levels of a _search."""
+    us = sorted(set(ps))
+    doms[us[0]] &= levels[0]
+    if len(us) > 1:
+        fwd[us[0]].append((us[1], levels[1]))
+    for j in range(2, len(us)):
+        deep.setdefault(us[j - 1], []).append((us[j], levels[j], tuple(us[:j])))
 
 
 def _product_view(Xs: list):
@@ -661,23 +695,26 @@ def _product_view(Xs: list):
     return SimpleNamespace(signature=X.signature, edges_by_rel=out, index=range(size))
 
 
-def _constrain(X: FinStructure, Y: FinStructure, base: int, off: int,
-               doms: list, fwd: list, checks: list) -> bool:
+def _constrain(X: FinStructure, Y, base: int, off: int,
+               doms: list, fwd: list, deep: dict, tries: dict | None = None) -> bool:
     """Add to a _search the constraints of a morphism X -> Y, X a structure
     or a _product_view, with the i-th element of X as variable base + i and
-    the j-th element of Y as bit off + j: a self-loop or a unary edge
-    narrows a domain once, every other binary edge links its earlier element
-    to its later one, and a nullary or wider edge is a membership test at
-    its last element.  False when a nullary edge of X is missing from Y.
-    X's relations must be Y's; the signatures are not compared."""
+    the j-th element of Y as bit off + j; Y is read only through its rows
+    and carrier.  A self-loop or a unary edge narrows a domain once, every
+    other binary edge links its earlier element to its later one, and a
+    wider edge narrows each of its elements in turn by the trie of Y's
+    relation (_trie), built once per shape of edge and kept in tries when
+    given.  False when a nullary edge of X is missing from Y.  X's
+    relations must be Y's; the signatures are not compared."""
     idx = X.index
+    tries = {} if tries is None else tries
     rows = Y.rows
     for rel, ar in X.signature.symbols:
         xs = X.edges_by_rel[rel]
         if not xs:
             continue
         if ar == 0:
-            if (rel, ()) not in Y.edges:
+            if not rows[rel]:
                 return False
         elif ar == 1:
             m = rows[rel] << off
@@ -699,10 +736,11 @@ def _constrain(X: FinStructure, Y: FinStructure, base: int, off: int,
                     fwd[j].append((i, pred))
         else:
             for tup in xs:
-                ps = tuple(base + idx[x] for x in tup)
-                checks[max(ps)].append(
-                    lambda image, rel=rel, ps=ps: (rel, tuple([image[i] for i in ps])) in Y.edges
-                )
+                ps = tuple([base + idx[x] for x in tup])
+                shape = (rel, tuple([sorted(ps).index(p) for p in ps]))
+                if shape not in tries:
+                    tries[shape] = _trie(rows[rel], ps, Y.carrier, off)
+                _bind(tries[shape], ps, doms, fwd, deep)
     return True
 
 
@@ -731,6 +769,7 @@ def _sortwise_search(Xs: list, Ys: list, funcs, out: list | None = None,
     products = [_product_view(X) for X in Xs]
     n = sum([len(P.index) for P in products])
     fwd: list[list] = [[] for _ in range(n)]
+    deep: dict = {}
     checks: list[list] = [[] for _ in range(n)]
     if budget is not None:
         def charge(image) -> bool:
@@ -748,7 +787,7 @@ def _sortwise_search(Xs: list, Ys: list, funcs, out: list | None = None,
         base, off = len(doms), len(values)
         doms += [((1 << len(Y.carrier)) - 1) << off] * len(P.index)
         values += Y.carrier
-        if not _constrain(P, Y, base, off, doms, fwd, checks):
+        if not _constrain(P, Y, base, off, doms, fwd, deep):
             return 0
         if funcs:
             seg += [(off, Y)] * len(P.index)
@@ -777,7 +816,7 @@ def _sortwise_search(Xs: list, Ys: list, funcs, out: list | None = None,
                 )
             else:
                 doms[r] &= 1 << (out_off + Yr.index[fn(())])
-    return _search(values, doms, fwd, checks, out)
+    return _search(values, doms, fwd, checks, out, deep)
 
 
 def _morphism_search(X: FinStructure, Y: FinStructure, out: list | None = None) -> int:
@@ -787,10 +826,10 @@ def _morphism_search(X: FinStructure, Y: FinStructure, out: list | None = None) 
     n = len(X.carrier)
     doms = [(1 << len(Y.carrier)) - 1] * n
     fwd: list[list] = [[] for _ in range(n)]
-    checks: list[list] = [[] for _ in range(n)]
-    if not _constrain(X, Y, 0, 0, doms, fwd, checks):
+    deep: dict = {}
+    if not _constrain(X, Y, 0, 0, doms, fwd, deep):
         return 0
-    return _search(Y.carrier, doms, fwd, checks, out)
+    return _search(Y.carrier, doms, fwd, [()] * n, out, deep)
 
 
 def enumerate_morphisms(X: FinStructure, Y: FinStructure) -> list[dict]:

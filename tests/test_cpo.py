@@ -151,6 +151,16 @@ class TestPresentationMorphisms:
         assert cover_holds(X, "x", ("x", "y"))
         assert not cover_holds(X, "y", ("x",))
 
+    def test_chain_images_may_repeat_an_element(self):
+        X = poset(("x", "y"), [("x", "y")])
+        assert cover_holds(X, "x", ("y", "y"))
+        assert not cover_holds(X, "y", ("x", "x"))
+        assert not cover_holds(X, "z", ("x",)) and not cover_holds(X, "x", ("z",))
+        pre = preorder_of(("p", "u0", "u1"), [("u0", "u1")])
+        pres = CpoPresentation(pre, (("p", ("u0", "u1")),))
+        assert is_presentation_morphism({"p": "x", "u0": "y", "u1": "y"}, pres, X)
+        assert not is_presentation_morphism({"p": "y", "u0": "x", "u1": "x"}, pres, X)
+
 
 def max_monoid_algebra():
     J2 = Arity.of(S, {"M": 2})

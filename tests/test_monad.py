@@ -12,6 +12,7 @@ from enrvar.algebra import (
     ordinary_signature,
     satisfies_theory,
 )
+from enrvar import monad
 from enrvar.dsl import parse_theory
 from enrvar.budget import Budget, BudgetExceeded
 from enrvar.isoenum import model_families, models_up_to
@@ -90,6 +91,18 @@ class TestLawChecker:
     def test_exception_truncation_passes(self):
         M = exception_truncation(SET, S, ARITIES)
         assert check_relative_monad(M).ok
+
+    def test_arity_objects_are_chased_once_per_truncation(self, monkeypatch):
+        POS = builtin_theory("pos")
+        M = exception_truncation(POS, S, ARITIES)
+        assert M.arity_objects == {J: arity_object(POS, S, J) for J in ARITIES}
+        chased = []
+        monkeypatch.setattr(monad, "arity_object", lambda *args: chased.append(args))
+        carrier = {"A": models_up_to(POS, 2)[-1]}
+        assert check_relative_monad(M).ok
+        algebras = enumerate_tj_algebras(M, carrier)
+        assert algebras and all(is_tj_algebra(A, M) for A in algebras)
+        assert chased == []
 
     def test_corrupt_extension_is_witnessed(self):
         M = exception_truncation(SET, S, ARITIES)
@@ -411,6 +424,10 @@ class TestFreeAlgebra:
         assert (res.class_count, res.saturated) == (15, True)
         res = free_algebra(fixture_theory("comm_monoid"), Arity.of(S, {"A": 2}))
         assert (res.class_count, res.saturated) == (51, False)
+        # the chase after the depth-3 layer joins ternary graph atoms with
+        # both inputs bound, on 1,479 terms
+        res = free_algebra(fixture_theory("band"), Arity.of(S, {"A": 3}))
+        assert (res.class_count, res.saturated) == (231, False)
 
     def test_size_bound_is_found_before_the_layer_is_made(self):
         T = fixture_theory("group")
