@@ -1,53 +1,126 @@
-"""Enumeration of finite structures and models up to isomorphism.
-
-Canonical forms are computed by minimizing the edge set over all carrier
-permutations, so enumeration order is deterministic and blow-up is kept to
-one representative per isomorphism class.
+"""Enumeration of finite structures and models up to isomorphism, by one
+cell-by-cell search over the edge slots on relcore._search (_enumerate).  A
+class is represented by its labelling with the least key, so enumeration
+order is deterministic and each class is kept once.
 """
 from __future__ import annotations
 
 import itertools
+import math
+from operator import itemgetter
 
 from .budget import Budget, ensure_budget
 from .relcore import (
+    _EQ_SPELLINGS,
     FinStructure,
+    HeytingAlgebra,
     HornTheory,
     RelSignature,
     StructureError,
-    is_model,
+    _search,
 )
 
 
-def default_carrier(n: int) -> tuple[str, ...]:
-    return tuple(f"x{i}" for i in range(n))
+def _enumerate(sig: RelSignature, size: int, axioms: tuple, up_to_iso: bool,
+               budget: Budget, lattice: HeytingAlgebra | None = None) -> list[FinStructure]:
+    """The labelled structures on x0 ... x(size - 1) that satisfy the
+    axioms, in the order of their keys; up to isomorphism, only the least
+    key of each class.  The key is read in digits, blocks of cells: without
+    a lattice one slot each, from the last slot down, so that it orders like
+    the edge mask; for qcat(Q), one pair (i, j) each in product order, its
+    cells the relations from Q's last element down and its value the index
+    in Q's elements of the q whose down-set holds there.  The search yields
+    the bits in lexicographic order, which is the key order unless Q is not
+    listed bottom-up, so a lattice's result is sorted by the key.
 
+    A premise-free instance narrows its cell to 1, and an equality on
+    distinct values fails when every premise holds.  Once a prefix of the
+    key and its image under a carrier permutation are known, a smaller image
+    prunes the branch ("lex-leader" symmetry breaking, Crawford et al., KR
+    1996).  The budget is charged one unit per cell assignment and per
+    prefix compared, and up front one per digit of each permutation."""
+    slots = [(rel, tup) for rel, ar in sig.symbols for tup in itertools.product(range(size), repeat=ar)]
+    if lattice is None:
+        width, rank = 1, {(0,): 0, (1,): 1}
+        digits = [(slot,) for slot in reversed(slots)]
+    else:
+        down = lattice.elements[::-1]
+        width = len(down)
+        rank = {tuple([int(lattice.leq(e, v)) for e in down]): i for i, v in enumerate(lattice.elements)}
+        digits = [tuple([(lattice.rel_name(e), p) for e in down]) for p in itertools.product(range(size), repeat=2)]
+    if up_to_iso:
+        budget.charge(math.factorial(size) * len(digits))
+    cells = [slot for digit in digits for slot in digit]
+    at = {slot: k for k, slot in enumerate(cells)}
+    doms = [0b11] * len(cells)
 
-def _edge_slots(sig: RelSignature, n: int) -> list[tuple[str, tuple[int, ...]]]:
-    slots = []
-    for rel, ar in sig.symbols:
-        for tup in itertools.product(range(n), repeat=ar):
-            slots.append((rel, tup))
-    return slots
+    def charge(image) -> bool:
+        budget.charge()
+        return True
 
+    checks: list[list] = [[charge] for _ in cells]
+    by_last: list[list] = [[] for _ in cells]  # (conclusion cells, premise cells)
+    for ax in axioms:
+        names = sorted({v for _, tup in ax.premises for v in tup} | set(ax.conclusion[1]))
+        crel, ctup = ax.conclusion
+        for vals in itertools.product(range(size), repeat=len(names)):
+            env = dict(zip(names, vals))
+            reads = {at[rel, tuple([env[v] for v in tup])] for rel, tup in ax.premises}
+            if crel in _EQ_SPELLINGS:
+                if env[ctup[0]] == env[ctup[1]]:
+                    continue
+                heads = ()
+            else:
+                heads = (at[crel, tuple([env[v] for v in ctup])],)
+            if not reads:
+                if not heads:
+                    return []
+                doms[heads[0]] = 0b10
+            elif not reads.intersection(heads):
+                by_last[max(reads.union(heads))].append((heads, tuple(reads)))
+    for k, insts in enumerate(by_last):
+        if insts:
+            def holds(image, insts=insts) -> bool:
+                return not any(
+                    all([image[p] for p in reads]) and not any([image[c] for c in heads])
+                    for heads, reads in insts
+                )
 
-def canonical_key(X: FinStructure) -> tuple:
-    """Isomorphism-invariant key: the least relabelled edge set over all
-    carrier permutations (plus the carrier size)."""
-    n = len(X.carrier)
-    idx = X.index
-    edges = [(rel, tuple(idx[x] for x in tup)) for rel, tup in X.edges]
-    best = None
-    for perm in itertools.permutations(range(n)):
-        mapped = tuple(sorted((rel, tuple(perm[i] for i in tup)) for rel, tup in edges))
-        if best is None or mapped < best:
-            best = mapped
-    return (n, best)
+            checks[k].append(holds)
+    if up_to_iso:
+        where = {digit: t for t, digit in enumerate(digits)}
+        tables = dict.fromkeys(
+            tuple([where[tuple([(rel, tuple([perm[i] for i in tup])) for rel, tup in d])] for d in digits])
+            for perm in itertools.permutations(range(size))
+        )
+        tables.pop(tuple(range(len(digits))), None)
+        # per digit t, a (prefix of the image, prefix of the key) getter pair
+        # for each table whose prefix known on both sides grows at t
+        grown: list[list] = [[] for _ in digits]
+        for table in tables:
+            known = 0
+            for t in range(len(digits)):
+                old = known
+                while known <= t and table[known] <= t:
+                    known += 1
+                if known > old:
+                    grown[t].append((itemgetter(*table[:known]), itemgetter(*range(known))))
+        key = [0] * len(digits)  # the digits' values on the current branch
+        for t, pairs in enumerate(grown):
+            def least(image, t=t, pairs=pairs) -> bool:
+                key[t] = rank[tuple(image[t * width:(t + 1) * width])]
+                budget.charge(len(pairs))
+                return all(get(key) >= head(key) for get, head in pairs)
 
+            checks[(t + 1) * width - 1].append(least)
 
-def isomorphic(X: FinStructure, Y: FinStructure) -> bool:
-    if X.signature != Y.signature or len(X.carrier) != len(Y.carrier):
-        return False
-    return canonical_key(X) == canonical_key(Y)
+    images: list = []
+    _search((0, 1), doms, [[] for _ in cells], checks, images)
+    if lattice is not None:
+        images.sort(key=lambda image: [rank[image[a:a + width]] for a in range(0, len(image), width)])
+    carrier = tuple(f"x{i}" for i in range(size))
+    edges = [(rel, tuple([carrier[i] for i in tup])) for rel, tup in cells]
+    return [FinStructure(sig, carrier, frozenset(itertools.compress(edges, image))) for image in images]
 
 
 def all_structures(
@@ -56,84 +129,15 @@ def all_structures(
     up_to_iso: bool = True,
     budget: Budget | int | None = None,
 ) -> list[FinStructure]:
-    """All structures on a carrier of the given size (canonical representatives
-    when up_to_iso).  Works directly on edge bit masks for speed."""
-    bgt = ensure_budget(budget)
-    slots = _edge_slots(sig, size)
-    nslots = len(slots)
+    """All structures on a carrier of the given size, in increasing order of
+    their edge masks (least-mask representatives when up_to_iso): the model
+    search of no axioms.  More than 22 edge slots raise StructureError."""
+    nslots = sum(size ** ar for _, ar in sig.symbols)
     if nslots > 22:
         raise StructureError(
             f"too many edge slots ({nslots}) for exhaustive structure enumeration"
         )
-    carrier = default_carrier(size)
-    perms = list(itertools.permutations(range(size)))
-    # slot index permutation tables
-    slot_index = {s: i for i, s in enumerate(slots)}
-    tables = []
-    for perm in perms:
-        tables.append(
-            [slot_index[(rel, tuple(perm[i] for i in tup))] for rel, tup in slots]
-        )
-    out = []
-    for mask in range(1 << nslots):
-        bgt.charge()
-        if up_to_iso:
-            minimal = True
-            for table in tables:
-                m, image = mask, 0
-                b = 0
-                while m:
-                    if m & 1:
-                        image |= 1 << table[b]
-                    m >>= 1
-                    b += 1
-                if image < mask:
-                    minimal = False
-                    break
-            if not minimal:
-                continue
-        edges = frozenset(
-            (slots[b][0], tuple(carrier[i] for i in slots[b][1]))
-            for b in range(nslots)
-            if (mask >> b) & 1
-        )
-        out.append(FinStructure(sig, carrier, edges))
-    return out
-
-
-def _qcat_models(T: HornTheory, size: int, up_to_iso: bool) -> list[FinStructure]:
-    q = T.qcat_lattice
-    assert q is not None
-    carrier = default_carrier(size)
-    elems = q.elements
-    pairs = [(i, j) for i in range(size) for j in range(size) if i != j]
-    out = []
-    seen: set = set()
-    for combo in itertools.product(elems, repeat=len(pairs)):
-        d = {p: v for p, v in zip(pairs, combo)}
-        for i in range(size):
-            d[(i, i)] = q.top
-        ok = True
-        for i, j, k in itertools.product(range(size), repeat=3):
-            if not q.leq(q.meet_table[d[(i, j)], d[(j, k)]], d[(i, k)]):
-                ok = False
-                break
-        if not ok:
-            continue
-        edges = frozenset(
-            (q.rel_name(e), (carrier[i], carrier[j]))
-            for (i, j), v in d.items()
-            for e in elems
-            if q.leq(e, v)
-        )
-        X = FinStructure(T.signature, carrier, edges)
-        if up_to_iso:
-            key = canonical_key(X)
-            if key in seen:
-                continue
-            seen.add(key)
-        out.append(X)
-    return out
+    return _enumerate(sig, size, (), up_to_iso, ensure_budget(budget))
 
 
 def all_models(
@@ -142,15 +146,10 @@ def all_models(
     up_to_iso: bool = True,
     budget: Budget | int | None = None,
 ) -> list[FinStructure]:
-    """All models of T on a carrier of the given size (canonical
-    representatives when up_to_iso)."""
-    if T.qcat_lattice is not None:
-        return _qcat_models(T, size, up_to_iso)
-    return [
-        X
-        for X in all_structures(T.signature, size, up_to_iso, budget)
-        if is_model(X, T)
-    ]
+    """All models of T on a carrier of the given size (least-key
+    representatives when up_to_iso; see _enumerate), bounded by the
+    budget rather than by the number of edge slots."""
+    return _enumerate(T.signature, size, T.axioms, up_to_iso, ensure_budget(budget), T.qcat_lattice)
 
 
 def models_up_to(

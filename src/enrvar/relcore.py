@@ -1175,14 +1175,6 @@ def render_id(x) -> str:
     return str(x)
 
 
-def elem_key(x):
-    if isinstance(x, str):
-        return (0, x)
-    if isinstance(x, tuple):
-        return (1, len(x), tuple(elem_key(c) for c in x))
-    return (2, render_id(x))
-
-
 def structure_to_json(X: FinStructure) -> dict:
     idx = X.index
     edges = sorted(X.edges, key=lambda e: (e[0], tuple(idx[x] for x in e[1])))

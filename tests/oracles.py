@@ -172,3 +172,65 @@ def monotone_maps(X, Y) -> list[dict]:
         ):
             out.append(f)
     return out
+
+
+def naive_structures(signature, size, up_to_iso=True) -> list:
+    """Every structure on x0 ... x(size-1) by its edge mask, in increasing
+    order, bit b standing for the b-th slot (relations in signature order,
+    then tuples in product order); up to isomorphism, a class keeps its
+    least mask."""
+    carrier = tuple(f"x{i}" for i in range(size))
+    slots = [
+        (rel, tup)
+        for rel, ar in signature.symbols
+        for tup in itertools.product(range(size), repeat=ar)
+    ]
+    bit = {s: b for b, s in enumerate(slots)}
+    tables = [
+        [bit[rel, tuple(p[i] for i in tup)] for rel, tup in slots]
+        for p in itertools.permutations(range(size))
+    ]
+    out = []
+    for mask in range(1 << len(slots)):
+        present = [b for b in range(len(slots)) if mask >> b & 1]
+        if up_to_iso and any(sum(1 << t[b] for b in present) < mask for t in tables):
+            continue
+        out.append(FinStructure(signature, carrier, frozenset(
+            (slots[b][0], tuple(carrier[i] for i in slots[b][1])) for b in present
+        )))
+    return out
+
+
+def naive_models(T, size, up_to_iso=True) -> list:
+    """The models of T on x0 ... x(size-1), one per isomorphism class when
+    up_to_iso: naive_structures filtered by naive_is_model.  For qcat(Q)
+    they are instead the tables of off-diagonal per-pair values of Q, in the
+    product order of Q's elements, kept when the diagonal is top and
+    d(i, j) /\\ d(j, k) <= d(i, k) everywhere; a class keeps the first table
+    that reaches it, by the least sorted edge list over all relabellings."""
+    q = T.qcat_lattice
+    if q is None:
+        return [X for X in naive_structures(T.signature, size, up_to_iso) if naive_is_model(X, T)]
+    carrier = tuple(f"x{i}" for i in range(size))
+    perms = list(itertools.permutations(range(size)))
+    pairs = [(i, j) for i in range(size) for j in range(size) if i != j]
+    seen = set()
+    out = []
+    for combo in itertools.product(q.elements, repeat=len(pairs)):
+        d = dict(zip(pairs, combo))
+        d.update({(i, i): q.top for i in range(size)})
+        if not all(
+            q.leq(q.meet_table[d[i, j], d[j, k]], d[i, k])
+            for i, j, k in itertools.product(range(size), repeat=3)
+        ):
+            continue
+        edges = [(q.rel_name(e), (i, j)) for (i, j), v in d.items() for e in q.elements if q.leq(e, v)]
+        if up_to_iso:
+            key = min(tuple(sorted((rel, (p[i], p[j])) for rel, (i, j) in edges)) for p in perms)
+            if key in seen:
+                continue
+            seen.add(key)
+        out.append(FinStructure(T.signature, carrier, frozenset(
+            (rel, (carrier[i], carrier[j])) for rel, (i, j) in edges
+        )))
+    return out

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from enrvar import relcore
+from enrvar.budget import BudgetExceeded
 from enrvar.relcore import (
     EQ,
     LE,
     FinStructure,
+    HeytingAlgebra,
     HornFormula,
     HornTheory,
     NotClosed,
@@ -39,11 +41,11 @@ from enrvar.relcore import (
     uncurry,
 )
 from enrvar.dsl import parse_theory
-from enrvar.isoenum import all_structures, models_up_to
+from enrvar.isoenum import all_models, all_structures, models_up_to
 from enrvar.monad import graph_presentation
 
 from conftest import FIXTURES, poset, random_structure
-from oracles import brute_morphisms, naive_chase, naive_satisfies_formula
+from oracles import brute_morphisms, naive_chase, naive_models, naive_satisfies_formula, naive_structures
 from test_monad import SATURATING
 
 POS = builtin_theory("pos")
@@ -655,6 +657,31 @@ def test_chase_reflection_for_simplicial_models():
             assert len(enumerate_morphisms(X, M)) == len(enumerate_morphisms(model, M))
 
 
+def diamond(order: str) -> HeytingAlgebra:
+    """The four-element Boolean lattice b < x, y < t, listed in order."""
+    sets = {"b": frozenset(), "x": frozenset({0}), "y": frozenset({1}), "t": frozenset({0, 1})}
+    name = {v: k for k, v in sets.items()}
+    meet = tuple((a, c, name[sets[a] & sets[c]]) for a in order for c in order)
+    join = tuple((a, c, name[sets[a] | sets[c]]) for a in order for c in order)
+    return HeytingAlgebra(tuple(order), meet, join, "t")
+
+
+# (theory, largest carrier) pairs on which all_models is checked against
+# naive_models, and (signature, largest carrier) pairs for all_structures
+NAIVE_MODEL_CASES = [
+    *[(builtin_theory(name), 4) for name in ("set", "preord", "pos", "simp(1)", "qchain(2)")],
+    *[(builtin_theory(name), 3) for name in ("simp(2)", "qchain(3)")],
+    (builtin_theory("simp(3)"), 2),
+    (builtin_theory("qcat", q=diamond("bxyt")), 3),
+    (builtin_theory("qcat", q=diamond("txyb")), 3),
+]
+NAIVE_STRUCTURE_CASES = [
+    (SIG, 4),
+    (builtin_theory("simp(2)").signature, 3),
+    (RelSignature((("P", 0), ("U", 1), ("Q", 3))), 2),
+]
+
+
 class TestIsoEnum:
     def test_structure_counts(self):
         # digraphs with loops on n nodes, up to iso
@@ -662,7 +689,39 @@ class TestIsoEnum:
         assert len(all_structures(SIG, 1)) == 2
         assert len(all_structures(SIG, 2)) == 10
         assert len(all_structures(SIG, 3)) == 104
+        with pytest.raises(StructureError, match="too many edge slots"):
+            all_structures(SIG, 5)
 
     def test_poset_counts(self):
-        assert [len([X for X in models_up_to(POS, n) if len(X.carrier) == n]) for n in range(4)] == [1, 1, 2, 5]
-        assert [len([X for X in models_up_to(PREORD, n) if len(X.carrier) == n]) for n in range(4)] == [1, 1, 3, 9]
+        # unlabelled: OEIS A000112 and A001930; labelled: A001035 and A000798
+        for T, unlabelled, labelled in (
+            (POS, [1, 1, 2, 5, 16, 63], [1, 1, 3, 19, 219, 4231]),
+            (PREORD, [1, 1, 3, 9, 33, 139], [1, 1, 4, 29, 355, 6942]),
+        ):
+            zoo = models_up_to(T, 5)
+            assert [len([X for X in zoo if len(X.carrier) == n]) for n in range(6)] == unlabelled
+            assert [len(all_models(T, n, up_to_iso=False)) for n in range(6)] == labelled
+
+    @pytest.mark.parametrize("up_to_iso", [True, False])
+    @pytest.mark.parametrize(
+        "T, top", NAIVE_MODEL_CASES, ids=[T.name for T, _ in NAIVE_MODEL_CASES]
+    )
+    def test_models_agree_with_naive_models(self, T, top, up_to_iso):
+        """The same structures in the same order: least keys, and for qcat
+        the product order, over a lattice listed bottom-up and one not."""
+        for n in range(top + 1):
+            assert all_models(T, n, up_to_iso) == naive_models(T, n, up_to_iso), n
+
+    @pytest.mark.parametrize("up_to_iso", [True, False])
+    @pytest.mark.parametrize(
+        "sig, top", NAIVE_STRUCTURE_CASES, ids=["<=", "simp(2)", "P,U,Q"]
+    )
+    def test_structures_agree_with_naive_structures(self, sig, top, up_to_iso):
+        for n in range(top + 1):
+            assert all_structures(sig, n, up_to_iso) == naive_structures(sig, n, up_to_iso), n
+
+    def test_budget_bounds_model_search(self):
+        with pytest.raises(BudgetExceeded):
+            models_up_to(builtin_theory("qchain(3)"), 4, budget=1000)
+        with pytest.raises(BudgetExceeded):
+            models_up_to(POS, 8, budget=10_000)
