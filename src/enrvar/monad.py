@@ -68,7 +68,7 @@ from .syntax import (
     Var,
     canonical_context,
 )
-from .translate import CarrierRow, EquivalenceReport, _describe_family
+from .translate import EquivalenceReport, _compare
 
 KRep = tuple  # per-sort tuples of target elements, in sort-set order
 
@@ -498,44 +498,12 @@ def verify_presentation(
     including hom structures."""
     bgt = ensure_budget(budget)
     T = theory_from_monad(M)
-    sig = T.signature
     report = EquivalenceReport(label="structure-map unfolding")
+    homs = (lambda A, B: _tj_hom_structure(M, A, B), hom_object)
     for fam in model_families(M.base, M.sorts, carrier_bound, budget=bgt):
         tj = enumerate_tj_algebras(M, fam, bgt)
         th = _enumerate_algebras(T, fam, bgt)
-        th_keys = {A.key(): i for i, A in enumerate(th)}
-        ok = len(tj) == len(th)
-        detail = "" if ok else "algebra counts differ"
-        bijection: list[tuple[int, int]] = []
-        mapped: list[Algebra] = []
-        if ok:
-            seen = set()
-            for i, A in enumerate(tj):
-                image = tj_to_algebra(M, T, A)
-                j = th_keys.get(image.key())
-                if j is None or j in seen:
-                    ok = False
-                    detail = f"no fresh partner for truncation algebra {i}"
-                    break
-                seen.add(j)
-                bijection.append((i, j))
-                mapped.append(image)
-        pairs_checked = 0
-        if ok:
-            for i, j in itertools.product(range(len(tj)), repeat=2):
-                bgt.charge()
-                h_theory = hom_object(mapped[i], mapped[j])
-                h_tj = _tj_hom_structure(M, tj[i], tj[j])
-                if h_theory.carrier != h_tj.carrier or h_theory.edges != h_tj.edges:
-                    ok = False
-                    detail = f"hom structures differ at pair ({i},{j})"
-                    break
-                pairs_checked += 1
-        report.rows.append(
-            CarrierRow(
-                _describe_family(fam), len(tj), len(th), bijection, pairs_checked, ok, detail
-            )
-        )
+        report.rows.append(_compare(fam, tj, th, lambda A: tj_to_algebra(M, T, A), homs, bgt))
     return report
 
 

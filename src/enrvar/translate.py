@@ -6,6 +6,7 @@ used by the verifier (restriction one way, canonical expansion the other).
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -23,16 +24,15 @@ from .algebra import (
     hom_object,
     interpret_term,
     ordinary_signature,
-    satisfies_theory,
     theory_parts,
+    underlying_classical,
 )
-from .cpo import CpoPresentation, IterationNotStabilized, free_omega_cpo
+from .cpo import _PREORD, CpoPresentation, IterationNotStabilized, free_omega_cpo
 from .isoenum import model_families
 from .relcore import (
     LE,
     FinStructure,
     StructureError,
-    builtin_theory,
     chase,
     relabel,
 )
@@ -40,6 +40,7 @@ from .syntax import (
     App,
     Arity,
     ChainRelation,
+    Context,
     Equation,
     ExplicitChain,
     RelationAtom,
@@ -61,18 +62,99 @@ class Correspondence:
     label: str = "identity"
 
 
+def _same_tables(sig1: EnrichedSignature, sig2: EnrichedSignature, label: str) -> Correspondence:
+    """The same tables read under the other signature, both ways."""
+    return Correspondence(
+        lambda A: Algebra(sig2, A.carrier, dict(A.interp)),
+        lambda A: Algebra(sig1, A.carrier, dict(A.interp)),
+        label,
+    )
+
+
 def identity_correspondence(T1: Theory, T2: Theory) -> Correspondence:
-    sig2 = theory_parts(T2)[0]
+    return _same_tables(theory_parts(T1)[0], theory_parts(T2)[0], "identity")
 
-    def move(A: Algebra) -> Algebra:
-        return Algebra(sig2, A.carrier, dict(A.interp))
 
-    sig1 = theory_parts(T1)[0]
+def _symbol_terms(op: OpDecl, points) -> tuple[Context, tuple[Term, ...]]:
+    """op's canonical context and its induced symbols at the points, each
+    applied to that context's variables."""
+    ctx = canonical_context(op.inputs)
+    argvars = tuple(Var(i) for i in range(len(ctx)))
+    return ctx, tuple(App(classical_symbol(op, p), argvars) for p in points)
 
-    def back(A: Algebra) -> Algebra:
-        return Algebra(sig1, A.carrier, dict(A.interp))
 
-    return Correspondence(move, back, "identity")
+def _flattening(T: EnrichedTheory, what: str) -> tuple[EnrichedSignature, Correspondence]:
+    """The ordinary signature of T's induced symbols, and the correspondence
+    that reads the same tables under it."""
+    if not isinstance(T, EnrichedTheory):
+        raise StructureError(f"{what} starts from an enriched theory")
+    sig = T.signature
+    csig = ordinary_signature(sig.sorts, sig.base, underlying_classical(sig).ops)
+    return csig, _same_tables(sig, csig, "underlying")
+
+
+def _expansion(
+    P: ClassicalTheoryWithRelations,
+    relations,
+    prefix: str,
+    suffix: str,
+    label: str,
+    build: Callable[[list], tuple[list[Term], FinStructure, dict]],
+) -> tuple[EnrichedTheory, Correspondence]:
+    """Adjoin, per (arity, sort) pair carrying relations, one operation whose
+    parameter build(group) makes from the group's relations, with equations
+    pinning the new symbols to the terms that it returns.  build returns those
+    terms, the parameter, and the unit from the terms into the parameter."""
+    sig = P.signature
+    groups: dict[tuple[Arity, str], list] = {}
+    for rel in relations:
+        J = context_arity(sig.sorts, rel.context)
+        groups.setdefault((J, rel.sort), []).append(rel)
+
+    new_ops: list[OpDecl] = []
+    new_eqs: list[Equation] = []
+    expand_plan: list[tuple[OpDecl, dict]] = []
+    existing = {op.name for op in sig.ops}
+    for (J, S), group in sorted(
+        groups.items(), key=lambda kv: (kv[0][0].counts, kv[0][1])
+    ):
+        terms, param, unit = build(group)
+        # parameter elements become printable term strings
+        param = relabel(param, {t: str(t) for t in param.carrier})
+        opname = f"{prefix}_{J.label()}_{S}"
+        while opname in existing:
+            opname += "_"
+        existing.add(opname)
+        op = OpDecl(opname, J, S, param)
+        new_ops.append(op)
+        for t in terms:
+            ctx, (symbol,) = _symbol_terms(op, [str(unit[t])])
+            new_eqs.append(Equation(ctx, symbol, t, S))
+        expand_plan.append((op, {str(t): t for t in set(unit.values())}))
+
+    out_sig = EnrichedSignature(sig.sorts, sig.base, sig.ops + tuple(new_ops))
+    out = EnrichedTheory(
+        out_sig,
+        P.equations + tuple(new_eqs),
+        name=(P.name or "theory") + suffix,
+    )
+    plain_names = _symbol_names(P)
+
+    def forward(A: Algebra) -> Algebra:
+        interp = dict(A.interp)
+        for op, reps in expand_plan:
+            ctx = canonical_context(op.inputs)
+            for p in op.param.carrier:
+                # class representatives are terms; their tables realize the
+                # unique extension through the free parameter
+                interp[classical_symbol(op, p)] = interpret_term(A, ctx, reps[p])
+        return Algebra(out_sig, A.carrier, interp)
+
+    def backward(A: Algebra) -> Algebra:
+        interp = {k: v for k, v in A.interp.items() if k in plain_names}
+        return Algebra(sig, A.carrier, interp)
+
+    return out, Correspondence(forward, backward, label)
 
 
 # -- enriched <-> relational ------------------------------------------------------
@@ -82,42 +164,20 @@ def enriched_to_relational(
 ) -> tuple[ClassicalTheoryWithRelations, Correspondence]:
     """Flatten parameters into ordinary symbols; each edge of a parameter
     becomes a syntactic relation among the induced symbols."""
-    if not isinstance(T, EnrichedTheory):
-        raise StructureError("parameter flattening starts from an enriched theory")
-    sig = T.signature
-    csig = ordinary_signature(
-        sig.sorts,
-        sig.base,
-        [(name, op.inputs, op.output) for name, op, _ in classical_symbols(sig)],
-    )
+    csig, corr = _flattening(T, "parameter flattening")
     relations = []
-    for op in sig.ops:
-        ctx = canonical_context(op.inputs)
-        argvars = tuple(Var(i) for i in range(len(ctx)))
-        for rel in sig.base.signature.names:
+    for op in T.signature.ops:
+        for rel in T.signature.base.signature.names:
             for ptup in op.param.edges_by_rel[rel]:
-                relations.append(
-                    RelationAtom(
-                        ctx,
-                        rel,
-                        tuple(App(classical_symbol(op, p), argvars) for p in ptup),
-                        op.output,
-                    )
-                )
+                ctx, args = _symbol_terms(op, ptup)
+                relations.append(RelationAtom(ctx, rel, args, op.output))
     out = ClassicalTheoryWithRelations(
         csig,
         tuple(relations),
         T.equations,
         name=(T.name or "theory") + "_relational",
     )
-
-    def forward(A: Algebra) -> Algebra:
-        return Algebra(csig, A.carrier, dict(A.interp))
-
-    def backward(A: Algebra) -> Algebra:
-        return Algebra(sig, A.carrier, dict(A.interp))
-
-    return out, Correspondence(forward, backward, "underlying")
+    return out, corr
 
 
 def relational_to_enriched(
@@ -128,70 +188,15 @@ def relational_to_enriched(
     equations pinning the new symbols to those terms."""
     if not isinstance(P, ClassicalTheoryWithRelations):
         raise StructureError("free-parameter expansion starts from a relational theory")
-    sig = P.signature
-    base = sig.base
-    groups: dict[tuple[Arity, str], list[RelationAtom]] = {}
-    for atom in P.relations:
-        J = context_arity(sig.sorts, atom.context)
-        groups.setdefault((J, atom.sort), []).append(atom)
+    base = P.signature.base
 
-    new_ops: list[OpDecl] = []
-    new_eqs: list[Equation] = []
-    expand_plan: list[tuple[str, Arity, dict]] = []
-    existing = {op.name for op in sig.ops}
-    for (J, S), atoms in sorted(
-        groups.items(), key=lambda kv: (kv[0][0].counts, kv[0][1])
-    ):
-        terms: list[Term] = []
-        for atom in atoms:
-            for t in atom.args:
-                if t not in terms:
-                    terms.append(t)
-        edges = frozenset(
-            (atom.relation, tuple(atom.args)) for atom in atoms
-        )
-        term_structure = FinStructure(base.signature, tuple(terms), edges)
-        model, unit = chase(term_structure, base)
-        # parameter elements become printable term strings
-        model = relabel(model, {t: str(t) for t in model.carrier})
-        opname = f"sup_{J.label()}_{S}"
-        while opname in existing:
-            opname += "_"
-        existing.add(opname)
-        op = OpDecl(opname, J, S, model)
-        new_ops.append(op)
-        ctx = canonical_context(J)
-        argvars = tuple(Var(i) for i in range(len(ctx)))
-        for t in terms:
-            new_eqs.append(
-                Equation(ctx, App(classical_symbol(op, str(unit[t])), argvars), t, S)
-            )
-        expand_plan.append((opname, J, {str(t): t for t in set(unit.values())}))
+    def build(atoms: list[RelationAtom]):
+        terms = list(dict.fromkeys(t for atom in atoms for t in atom.args))
+        edges = frozenset((atom.relation, tuple(atom.args)) for atom in atoms)
+        model, unit = chase(FinStructure(base.signature, tuple(terms), edges), base)
+        return terms, model, unit
 
-    out_sig = EnrichedSignature(sig.sorts, base, sig.ops + tuple(new_ops))
-    out = EnrichedTheory(
-        out_sig,
-        P.equations + tuple(new_eqs),
-        name=(P.name or "theory") + "_enriched",
-    )
-    plain_names = {name for name, _, _ in classical_symbols(sig)}
-
-    def forward(A: Algebra) -> Algebra:
-        interp = dict(A.interp)
-        for opname, J, reps in expand_plan:
-            ctx = canonical_context(J)
-            op = out_sig.by_name[opname]
-            for p in op.param.carrier:
-                # class representatives are terms; their tables realize the
-                # unique extension through the free model
-                interp[classical_symbol(op, p)] = interpret_term(A, ctx, reps[p])
-        return Algebra(out_sig, A.carrier, interp)
-
-    def backward(A: Algebra) -> Algebra:
-        interp = {k: v for k, v in A.interp.items() if k in plain_names}
-        return Algebra(sig, A.carrier, interp)
-
-    return out, Correspondence(forward, backward, "free-parameter expansion")
+    return _expansion(P, P.relations, "sup", "_enriched", "free-parameter expansion", build)
 
 
 # -- chain-complete translations ---------------------------------------------------
@@ -237,22 +242,13 @@ def cpo_enriched_to_classical(
     """Chain-complete reading of parameter flattening: every maximal chain of
     a parameter becomes an eventually-constant chain relation whose limit is
     the symbol at the chain's top."""
-    if not isinstance(T, EnrichedTheory):
-        raise StructureError("the chain-complete flattening starts from an enriched theory")
-    sig = T.signature
-    if sig.base.name != "pos":
+    csig, corr = _flattening(T, "the chain-complete flattening")
+    if T.signature.base.name != "pos":
         raise StructureError("chain-complete translation needs the pos base")
-    csig = ordinary_signature(
-        sig.sorts,
-        sig.base,
-        [(name, op.inputs, op.output) for name, op, _ in classical_symbols(sig)],
-    )
     chains: list[ChainRelation] = []
-    for op in sig.ops:
-        ctx = canonical_context(op.inputs)
-        argvars = tuple(Var(i) for i in range(len(ctx)))
+    for op in T.signature.ops:
         for chain in _maximal_chains(op.param):
-            terms = tuple(App(classical_symbol(op, p), argvars) for p in chain)
+            ctx, terms = _symbol_terms(op, chain)
             chains.append(
                 ChainRelation(ctx, op.output, ExplicitChain(terms), terms[-1])
             )
@@ -263,14 +259,7 @@ def cpo_enriched_to_classical(
         tuple(chains),
         name=(T.name or "theory") + "_chain_classical",
     )
-
-    def forward(A: Algebra) -> Algebra:
-        return Algebra(csig, A.carrier, dict(A.interp))
-
-    def backward(A: Algebra) -> Algebra:
-        return Algebra(sig, A.carrier, dict(A.interp))
-
-    return out, Correspondence(forward, backward, "underlying")
+    return out, corr
 
 
 def materialize_chain(
@@ -311,22 +300,10 @@ def cpo_classical_to_enriched(
     relation), plus equations pinning the new symbols to the terms."""
     if not isinstance(P, ClassicalTheoryWithRelations):
         raise StructureError("the chain-complete expansion starts from a relational theory")
-    sig = P.signature
-    if sig.base.name != "pos":
+    if P.signature.base.name != "pos":
         raise StructureError("chain-complete translation needs the pos base")
-    groups: dict[tuple[Arity, str], list[ChainRelation]] = {}
-    for rel in P.chain_relations:
-        J = context_arity(sig.sorts, rel.context)
-        groups.setdefault((J, rel.sort), []).append(rel)
 
-    new_ops: list[OpDecl] = []
-    new_eqs: list[Equation] = []
-    expand_plans: list[tuple[str, dict]] = []
-    existing = {op.name for op in sig.ops}
-    preord_sig = sig.base.signature
-    for (J, S), rels in sorted(
-        groups.items(), key=lambda kv: (kv[0][0].counts, kv[0][1])
-    ):
+    def build(rels: list[ChainRelation]):
         terms: list[Term] = []
         steps: set[tuple] = set()
         covers: list[tuple] = []
@@ -340,47 +317,14 @@ def cpo_classical_to_enriched(
             for t in chain_terms:
                 steps.add((LE, (t, rel.limit)))
             covers.append((rel.limit, tuple(chain_terms)))
-        raw = FinStructure(preord_sig, tuple(terms), frozenset(steps))
-        preorder, _ = chase(raw, builtin_theory("preord"))
-        pres = CpoPresentation(preorder, tuple(covers))
-        param, unit = free_omega_cpo(pres)
-        param = relabel(param, {t: str(t) for t in param.carrier})
-        opname = f"lub_{J.label()}_{S}"
-        while opname in existing:
-            opname += "_"
-        existing.add(opname)
-        op = OpDecl(opname, J, S, param)
-        new_ops.append(op)
-        ctx = canonical_context(J)
-        argvars = tuple(Var(i) for i in range(len(ctx)))
-        for t in terms:
-            new_eqs.append(
-                Equation(ctx, App(classical_symbol(op, str(unit[t])), argvars), t, S)
-            )
-        expand_plans.append((opname, {str(t): t for t in set(unit.values())}))
+        raw = FinStructure(P.signature.base.signature, tuple(terms), frozenset(steps))
+        preorder, _ = chase(raw, _PREORD)
+        param, unit = free_omega_cpo(CpoPresentation(preorder, tuple(covers)))
+        return terms, param, unit
 
-    out_sig = EnrichedSignature(sig.sorts, sig.base, sig.ops + tuple(new_ops))
-    out = EnrichedTheory(
-        out_sig,
-        P.equations + tuple(new_eqs),
-        name=(P.name or "theory") + "_chain_enriched",
+    return _expansion(
+        P, P.chain_relations, "lub", "_chain_enriched", "free-completion expansion", build
     )
-    plain_names = {name for name, _, _ in classical_symbols(sig)}
-
-    def forward(A: Algebra) -> Algebra:
-        interp = dict(A.interp)
-        for opname, reps in expand_plans:
-            op = out_sig.by_name[opname]
-            ctx = canonical_context(op.inputs)
-            for p in op.param.carrier:
-                interp[classical_symbol(op, p)] = interpret_term(A, ctx, reps[p])
-        return Algebra(out_sig, A.carrier, interp)
-
-    def backward(A: Algebra) -> Algebra:
-        interp = {k: v for k, v in A.interp.items() if k in plain_names}
-        return Algebra(sig, A.carrier, interp)
-
-    return out, Correspondence(forward, backward, "free-completion expansion")
 
 
 # -- the verifier -------------------------------------------------------------------
@@ -433,6 +377,55 @@ def _describe_family(fam: Mapping[str, FinStructure]) -> str:
     return ",".join(parts)
 
 
+def _compare(
+    fam: Mapping[str, FinStructure],
+    left: list,
+    right: list[Algebra],
+    forward: Callable[[object], Algebra],
+    homs: tuple[Callable, Callable],
+    bgt: Budget,
+    hom_pair_limit: int | None = None,
+    seed: int | None = None,
+) -> CarrierRow:
+    """The row of one carrier family: equal counts, a bijection that sends
+    each left algebra to the right algebra with its image's key (right holds
+    every algebra of its theory on the family, so an image outside that
+    theory has no partner), and, on every pair (i, j) of left indices
+    (capped at hom_pair_limit: a seeded sample, or else an even stride),
+    the left hom structure homs[0](left[i], left[j]) equal to the right one
+    homs[1] between their partners."""
+    row = CarrierRow(_describe_family(fam), len(left), len(right), [], 0, True)
+    if len(left) != len(right):
+        row.ok, row.detail = False, "algebra counts differ"
+        return row
+    right_keys = {A.key(): j for j, A in enumerate(right)}
+    seen: set[int] = set()
+    for i, A in enumerate(left):
+        j = right_keys.get(forward(A).key())
+        if j is None or j in seen:
+            row.ok, row.detail = False, f"no fresh partner for algebra {i}"
+            return row
+        seen.add(j)
+        row.bijection.append((i, j))
+    partner = [j for _, j in row.bijection]
+    pairs = list(itertools.product(range(len(left)), repeat=2))
+    if hom_pair_limit is not None and len(pairs) > hom_pair_limit:
+        if seed is not None:
+            pairs = sorted(random.Random(seed).sample(pairs, hom_pair_limit))
+        else:
+            pairs = pairs[::max(1, len(pairs) // hom_pair_limit)]
+    hom_left, hom_right = homs
+    for i, j in pairs:
+        bgt.charge()
+        h1 = hom_left(left[i], left[j])
+        h2 = hom_right(right[partner[i]], right[partner[j]])
+        if h1.carrier != h2.carrier or h1.edges != h2.edges:
+            row.ok, row.detail = False, f"hom structures differ at pair ({i},{j})"
+            return row
+        row.hom_pairs_checked += 1
+    return row
+
+
 def verify_theory_equivalence(
     T1: Theory,
     T2: Theory,
@@ -458,82 +451,35 @@ def verify_theory_equivalence(
     for fam in model_families(sig1.base, sig1.sorts, carrier_bound, budget=bgt):
         left = _enumerate_algebras(T1, fam, bgt)
         right = _enumerate_algebras(T2, fam, bgt)
-        right_keys = {A.key(): i for i, A in enumerate(right)}
-        bijection: list[tuple[int, int]] = []
-        ok = len(left) == len(right)
-        detail = "" if ok else "algebra counts differ"
-        seen: set[int] = set()
-        if ok:
-            for i, A in enumerate(left):
-                image = correspondence.forward(A)
-                if not satisfies_theory(image, T2):
-                    ok = False
-                    detail = f"image of algebra {i} fails the target theory"
-                    break
-                j = right_keys.get(image.key())
-                if j is None or j in seen:
-                    ok = False
-                    detail = f"no fresh partner for algebra {i}"
-                    break
-                seen.add(j)
-                bijection.append((i, j))
-        pairs_checked = 0
-        if ok:
-            bmap = dict(bijection)
-            pairs = list(itertools.product(range(len(left)), repeat=2))
-            if len(pairs) > hom_pair_limit:
-                if seed is not None:
-                    import random
-
-                    pairs = sorted(random.Random(seed).sample(pairs, hom_pair_limit))
-                else:
-                    step = max(1, len(pairs) // hom_pair_limit)
-                    pairs = pairs[::step]
-            for i, j in pairs:
-                bgt.charge()
-                h1 = hom_object(left[i], left[j])
-                h2 = hom_object(right[bmap[i]], right[bmap[j]])
-                if h1.carrier != h2.carrier or h1.edges != h2.edges:
-                    ok = False
-                    detail = f"hom structures differ at pair ({i},{j})"
-                    break
-                pairs_checked += 1
+        homs = (hom_object, hom_object)
         report.rows.append(
-            CarrierRow(
-                _describe_family(fam),
-                len(left),
-                len(right),
-                bijection,
-                pairs_checked,
-                ok,
-                detail,
-            )
+            _compare(fam, left, right, correspondence.forward, homs, bgt, hom_pair_limit, seed)
         )
     return report
+
+
+def _symbol_names(T: Theory) -> set[str]:
+    return {name for name, _, _ in classical_symbols(theory_parts(T)[0])}
 
 
 def infer_correspondence(T1: Theory, T2: Theory) -> Correspondence:
     """Recognize the standard relationships: identical classical symbols yield
     the identity; a flattened signature yields restriction; an extension by
     generated operations yields the canonical expansion."""
-    names1 = {name for name, _, _ in classical_symbols(theory_parts(T1)[0])}
-    names2 = {name for name, _, _ in classical_symbols(theory_parts(T2)[0])}
+    names1 = _symbol_names(T1)
+    names2 = _symbol_names(T2)
     if names1 == names2:
         return identity_correspondence(T1, T2)
+    translation = None
     if isinstance(T1, EnrichedTheory) and names2 <= names1:
         # T2 looks like a flattening of T1
-        if isinstance(T2, ClassicalTheoryWithRelations) and T2.chain_relations:
-            cand, corr = cpo_enriched_to_classical(T1)
-        else:
-            cand, corr = enriched_to_relational(T1)
-        if {n for n, _, _ in classical_symbols(theory_parts(cand)[0])} == names2:
-            return corr
-    if isinstance(T1, ClassicalTheoryWithRelations) and names1 <= names2:
-        if T1.chain_relations:
-            cand, corr = cpo_classical_to_enriched(T1)
-        else:
-            cand, corr = relational_to_enriched(T1)
-        if {n for n, _, _ in classical_symbols(theory_parts(cand)[0])} == names2:
+        chains = isinstance(T2, ClassicalTheoryWithRelations) and T2.chain_relations
+        translation = cpo_enriched_to_classical if chains else enriched_to_relational
+    elif isinstance(T1, ClassicalTheoryWithRelations) and names1 <= names2:
+        translation = cpo_classical_to_enriched if T1.chain_relations else relational_to_enriched
+    if translation is not None:
+        cand, corr = translation(T1)
+        if _symbol_names(cand) == names2:
             return corr
     raise StructureError(
         "cannot infer an algebra correspondence between these theories; "
