@@ -11,12 +11,20 @@ class BudgetExceeded(RuntimeError):
     """The combinatorial budget for an enumeration was exhausted."""
 
 
+class BadBudget(ValueError):
+    """The budget environment variable is not an integer."""
+
+
 class Budget:
     """A monotone work counter; charge() raises BudgetExceeded past the limit."""
 
     def __init__(self, limit: int | None = None):
         if limit is None:
-            limit = int(os.environ.get(ENV_VAR, DEFAULT_LIMIT))
+            raw = os.environ.get(ENV_VAR, str(DEFAULT_LIMIT))
+            try:
+                limit = int(raw)
+            except ValueError:
+                raise BadBudget(f"{ENV_VAR}={raw!r} is not an integer") from None
         self.limit = limit
         self.used = 0
 

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .budget import Budget, BudgetExceeded
+from .budget import BadBudget, Budget, BudgetExceeded
 from .algebra import (
     algebra_to_json,
     enumerate_algebras,
@@ -553,7 +553,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (DslError, SortError) as e:
+    except (DslError, SortError, BadBudget) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (StructureError, NotClosed, BudgetExceeded) as e:

@@ -159,9 +159,12 @@ def models_up_to(
     min_size: int = 0,
     budget: Budget | int | None = None,
 ) -> list[FinStructure]:
+    """All models of T on carriers of min_size to max_size elements, by
+    size; one budget bounds the whole call."""
+    bgt = ensure_budget(budget)
     out = []
     for n in range(min_size, max_size + 1):
-        out.extend(all_models(T, n, up_to_iso, budget))
+        out.extend(all_models(T, n, up_to_iso, bgt))
     return out
 
 

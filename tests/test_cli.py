@@ -178,6 +178,17 @@ class TestCommands:
         assert "enumeration budget of 10 exceeded" in err
         assert "Traceback" not in err
 
+    def test_malformed_budget_variable_is_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("ENRVAR_BUDGET", "abc")
+        code, _, err = run(
+            capsys,
+            "verify-presentation", str(FIXTURES / "exception_monad.mnd"),
+            "--max-carrier", "2",
+        )
+        assert code == 2
+        assert "ENRVAR_BUDGET='abc'" in err
+        assert "Traceback" not in err
+
     def test_free_cpo(self, capsys):
         code, out, _ = run(
             capsys, "free-cpo", str(FIXTURES / "presentations.cpo"), "--present", "wedge"

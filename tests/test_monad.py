@@ -383,6 +383,32 @@ class TestVerifyPresentation:
         assert report.ok
         assert [r.count_left for r in report.rows] == [0, 1, 2, 3]
 
+    def test_reversed_hom_structures_differ(self, monkeypatch):
+        # hom(A, B) read as hom(B, A): on two elements the algebras point at
+        # different elements, so the maps A0 -> A1 are not those A1 -> A0
+        forward = monad._tj_hom_structure
+        monkeypatch.setattr(monad, "_tj_hom_structure", lambda M, A, B: forward(M, B, A))
+        report = verify_presentation(exception_truncation(SET, S, ARITIES[:2]), 2)
+        assert [(r.ok, r.detail) for r in report.rows] == [
+            (True, ""),
+            (True, ""),
+            (False, "hom structures differ at pair (0,1)"),
+        ]
+        assert report.rows[-1].hom_pairs_checked == 1
+
+    def test_unfolding_without_partner_fails(self, monkeypatch):
+        unfold = monad.tj_to_algebra
+        first = {}
+
+        def stuck(M, T, A):
+            # every truncation algebra on a carrier unfolds to the first one's image
+            return unfold(M, T, first.setdefault(tuple(A.carrier.values()), A))
+
+        monkeypatch.setattr(monad, "tj_to_algebra", stuck)
+        report = verify_presentation(exception_truncation(SET, S, ARITIES[:2]), 2)
+        assert report.rows[-1].detail == "no fresh partner for algebra 1"
+        assert report.rows[-1].bijection == [(0, 0)]
+
     def test_mutilated_extension_fails_where_the_law_does(self):
         M = exception_truncation(SET, S, ARITIES[:2])
         J1 = ARITIES[1]

@@ -725,3 +725,9 @@ class TestIsoEnum:
             models_up_to(builtin_theory("qchain(3)"), 4, budget=1000)
         with pytest.raises(BudgetExceeded):
             models_up_to(POS, 8, budget=10_000)
+
+    def test_one_budget_bounds_all_sizes(self):
+        # pos on 5 elements alone takes 72,929 units; sizes 0-4 take 3,428 more
+        with pytest.raises(BudgetExceeded):
+            models_up_to(POS, 5, budget=72_929)
+        assert len(models_up_to(POS, 5, budget=72_929 + 3_428)) == 88

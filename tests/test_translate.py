@@ -32,6 +32,7 @@ from enrvar.syntax import (
     canonical_context,
 )
 from enrvar.translate import (
+    Correspondence,
     cpo_classical_to_enriched,
     cpo_enriched_to_classical,
     enriched_to_relational,
@@ -198,6 +199,108 @@ class TestVerifyEquivalence:
         assert infer_correspondence(P, T).label == "free-parameter expansion"
         P2, _ = enriched_to_relational(T)
         assert infer_correspondence(T, P2).label == "identity"
+
+
+def unary_map_theory():
+    """One operation f : M -> M over set: A^A algebras on a carrier A."""
+    sig = ordinary_signature(S, builtin_theory("set"), [("f", J1, "M")])
+    return ClassicalTheoryWithRelations(sig, (), ())
+
+
+def pointed():
+    return parse_theory((FIXTURES / "pointed.thy").read_text()).theories["pointed"]
+
+
+class TestHomPairCap:
+    @pytest.mark.parametrize("seed", [None, 0])
+    def test_rows_check_at_most_the_limit(self, seed):
+        T = unary_map_theory()
+        report = verify_theory_equivalence(
+            T, T, 2, identity_correspondence(T, T), hom_pair_limit=3, seed=seed
+        )
+        assert report.ok
+        assert [r.count_left for r in report.rows] == [1, 1, 4]
+        # the 4-algebra row has 16 pairs, more than the limit
+        assert [r.hom_pairs_checked for r in report.rows] == [1, 1, 3]
+
+
+class TestComparisonFailures:
+    """Each way a carrier row can fail, reached through the verifier."""
+
+    def test_algebra_counts_differ(self):
+        T = unary_map_theory()
+        x = Var(0)
+        idem = ClassicalTheoryWithRelations(
+            T.signature,
+            (),
+            (Equation(canonical_context(J1), App("f", (App("f", (x,)),)), App("f", (x,)), "M"),),
+        )
+        report = verify_theory_equivalence(T, idem, 2, identity_correspondence(T, idem))
+        assert not report.ok
+        assert [(r.count_left, r.count_right, r.detail) for r in report.rows] == [
+            (1, 1, ""),
+            (1, 1, ""),
+            (4, 3, "algebra counts differ"),
+        ]
+        assert report.rows[-1].bijection == []
+        assert report.rows[-1].hom_pairs_checked == 0
+
+    def test_no_fresh_partner(self):
+        T = unary_map_theory()
+
+        def to_identity_map(A: Algebra) -> Algebra:
+            X = A.carrier["M"]
+            return Algebra(A.signature, A.carrier, {"f": {(v,): v for v in X.carrier}})
+
+        report = verify_theory_equivalence(T, T, 2, Correspondence(to_identity_map))
+        # on two elements algebra 0 is the first to reach the identity map,
+        # and algebra 1 finds its partner taken
+        row = report.rows[-1]
+        assert not row.ok
+        assert row.detail == "no fresh partner for algebra 1"
+        assert len(row.bijection) == 1
+        assert all(r.ok for r in report.rows[:-1])
+
+    def test_image_outside_the_target_has_no_partner(self):
+        T = unary_map_theory()
+        x = Var(0)
+        const = ClassicalTheoryWithRelations(
+            T.signature,
+            (),
+            (Equation(canonical_context(J2), App("f", (x,)), App("f", (Var(1),)), "M"),),
+        )
+        involution = ClassicalTheoryWithRelations(
+            T.signature,
+            (),
+            (Equation(canonical_context(J1), App("f", (App("f", (x,)),)), x, "M"),),
+        )
+        # two algebras each on two elements, but no constant map is an involution
+        report = verify_theory_equivalence(
+            const, involution, 2, identity_correspondence(const, involution)
+        )
+        assert [(r.count_left, r.count_right, r.detail) for r in report.rows] == [
+            (1, 1, ""),
+            (1, 1, ""),
+            (2, 2, "no fresh partner for algebra 0"),
+        ]
+
+    def test_hom_structures_differ(self):
+        T = pointed()
+
+        def swap(A: Algebra) -> Algebra:
+            # reverse the carrier in every table value: on two elements the
+            # point moves to the other element, an algebra but not the same one
+            X = A.carrier["A"]
+            other = dict(zip(X.carrier, reversed(X.carrier)))
+            interp = {k: {a: other[v] for a, v in t.items()} for k, t in A.interp.items()}
+            return Algebra(A.signature, A.carrier, interp)
+
+        report = verify_theory_equivalence(T, T, 2, Correspondence(swap))
+        row = report.rows[-1]
+        assert row.bijection == [(0, 1), (1, 0)]
+        assert not row.ok
+        assert row.detail == "hom structures differ at pair (0,0)"
+        assert row.hom_pairs_checked == 0
 
 
 class TestChainTranslations:
