@@ -12,7 +12,7 @@ class BudgetExceeded(RuntimeError):
 
 
 class BadBudget(ValueError):
-    """The budget environment variable is not an integer."""
+    """The budget environment variable is not an integer of at least 1."""
 
 
 class Budget:
@@ -25,6 +25,8 @@ class Budget:
                 limit = int(raw)
             except ValueError:
                 raise BadBudget(f"{ENV_VAR}={raw!r} is not an integer") from None
+            if limit < 1:
+                raise BadBudget(f"{ENV_VAR}={raw!r} is below 1")
         self.limit = limit
         self.used = 0
 

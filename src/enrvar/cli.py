@@ -47,9 +47,6 @@ from .translate import (
     verify_theory_equivalence,
 )
 
-_BUILTIN_PREFIXES = ("set", "preord", "pos", "simp(", "qchain(")
-
-
 def _load_file(path: str) -> TheoryFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -451,12 +448,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
+    def limit(text: str) -> int:  # argparse reports a ValueError as an invalid value
+        if int(text) < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
+        return int(text)
+
     def common(sp, theory=False, budget=False):
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
         if theory:
             sp.add_argument("--theory", help="builtin base (set|preord|pos|simp(N)|qchain(N)) or theory file")
         if budget:
-            sp.add_argument("--budget", type=int, default=None, help="enumeration budget")
+            sp.add_argument("--budget", type=limit, default=None, help="enumeration budget")
 
     sp = sub.add_parser("check-model", help="check structures against a Horn theory")
     sp.add_argument("file")

@@ -281,7 +281,11 @@ class _Parser:
             except StructureError as e:
                 self.fail(str(e), ntok)
         if word == "qcat":
-            return builtin_theory("qcat", q=self.parse_lattice())
+            q = self.parse_lattice()
+            try:
+                return builtin_theory("qcat", q=q)
+            except StructureError as e:
+                self.fail(str(e), t)
         self.fail(f"unknown base theory {word!r}", t)
 
     def parse_lattice(self) -> HeytingAlgebra:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from enrvar.relcore import EQ, FinStructure
+from enrvar.relcore import EQ, FinStructure, HornFormula, HornTheory, RelSignature, reflexivity_formula
 
 LE = "<="
 
@@ -234,3 +234,46 @@ def naive_models(T, size, up_to_iso=True) -> list:
             (rel, (carrier[i], carrier[j])) for rel, (i, j) in edges
         )))
     return out
+
+
+def naive_simp_axioms(n) -> HornTheory:
+    """simp(n) with every derived axiom written out: the n reflexivities and
+    one axiom R_m(v) => R_k(v o h) per map h : [k] -> [m], k, m <= n."""
+    sig = RelSignature(tuple((f"R{k}", k) for k in range(1, n + 1)))
+    axioms = [reflexivity_formula(f"R{k}", k) for k in range(1, n + 1)]
+    for m in range(1, n + 1):
+        pvars = tuple(f"v{i}" for i in range(1, m + 1))
+        for k in range(1, n + 1):
+            for h in itertools.product(range(m), repeat=k):
+                axioms.append(HornFormula(
+                    frozenset({(f"R{m}", pvars)}),
+                    (f"R{k}", tuple(pvars[i] for i in h)),
+                ))
+    return HornTheory(sig, tuple(axioms), name=f"naive simp({n})")
+
+
+def naive_qcat_axioms(q) -> HornTheory:
+    """qcat(Q) with every derived axiom written out: reflexivity, downward
+    closure for each b <= a, one sup axiom per subset of Q (the empty one
+    included) and meet-transitivity for each pair, without repeats."""
+    elems = q.elements
+    sig = RelSignature(tuple((q.rel_name(e), 2) for e in elems))
+    axioms = [reflexivity_formula(q.rel_name(e), 2) for e in elems]
+    for a in elems:
+        for b in elems:
+            if a != b and q.leq(b, a):
+                axioms.append(HornFormula(
+                    frozenset({(q.rel_name(a), ("v1", "v2"))}),
+                    (q.rel_name(b), ("v1", "v2")),
+                ))
+    for r in range(len(elems) + 1):
+        for subset in itertools.combinations(elems, r):
+            prem = frozenset({(q.rel_name(e), ("v1", "v2")) for e in subset})
+            axioms.append(HornFormula(prem, (q.rel_name(q.join_of(subset)), ("v1", "v2"))))
+    for a in elems:
+        for b in elems:
+            axioms.append(HornFormula(
+                frozenset({(q.rel_name(a), ("v1", "v2")), (q.rel_name(b), ("v2", "v3"))}),
+                (q.rel_name(q.meet_table[a, b]), ("v1", "v3")),
+            ))
+    return HornTheory(sig, tuple(dict.fromkeys(axioms)), name=f"naive qcat[{','.join(elems)}]")

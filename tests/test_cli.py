@@ -189,6 +189,28 @@ class TestCommands:
         assert "ENRVAR_BUDGET='abc'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("budget", ["-4", "0"])
+    def test_budget_below_one_is_two(self, capsys, budget):
+        code, _, err = run(
+            capsys,
+            "verify-presentation", str(FIXTURES / "exception_monad.mnd"),
+            "--max-carrier", "2", f"--budget={budget}",
+        )
+        assert code == 2
+        assert f"argument --budget: must be at least 1, not {budget}" in err
+
+    @pytest.mark.parametrize("budget", ["-3", "0"])
+    def test_budget_variable_below_one_is_two(self, capsys, monkeypatch, budget):
+        monkeypatch.setenv("ENRVAR_BUDGET", budget)
+        code, _, err = run(
+            capsys,
+            "verify-presentation", str(FIXTURES / "exception_monad.mnd"),
+            "--max-carrier", "2",
+        )
+        assert code == 2
+        assert f"ENRVAR_BUDGET='{budget}' is below 1" in err
+        assert "Traceback" not in err
+
     def test_free_cpo(self, capsys):
         code, out, _ = run(
             capsys, "free-cpo", str(FIXTURES / "presentations.cpo"), "--present", "wedge"

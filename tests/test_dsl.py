@@ -139,6 +139,16 @@ theory broken {
         assert "axioms" in err.value.message
 
 
+    def test_oversized_lattice_fails_at_its_base(self):
+        elems = [f"q{i}" for i in range(43)]
+        meet = "; ".join(f"({a}, {b}) -> {elems[min(i, j)]}" for i, a in enumerate(elems) for j, b in enumerate(elems))
+        join = "; ".join(f"({a}, {b}) -> {elems[max(i, j)]}" for i, a in enumerate(elems) for j, b in enumerate(elems))
+        lattice = f"qcat {{ elems [{', '.join(elems)}]; meet {{ {meet} }}; join {{ {join} }}; top q42 }}"
+        with pytest.raises(DslError) as err:
+            parse_theory(f"theory t {{\n  base {lattice}\n  sort A\n}}")
+        assert (err.value.line, err.value.col) == (2, 8)
+        assert "has 129 axioms" in err.value.message
+
     def test_deep_term_fails_at_the_level_past_the_cap(self):
         def text(depth):
             term = "f(" * depth + "x" + ")" * depth

@@ -17,7 +17,6 @@ from enrvar.dsl import parse_theory
 from enrvar.budget import Budget, BudgetExceeded
 from enrvar.isoenum import model_families, models_up_to
 from enrvar.monad import (
-    RelMonadData,
     TjAlgebra,
     _tj_hom_structure,
     all_maps_into,
@@ -35,7 +34,6 @@ from enrvar.monad import (
 )
 from enrvar.relcore import FinStructure, StructureError, builtin_theory, is_pi_morphism
 from enrvar.syntax import App, Arity, Context, Equation, SortSet, Var, canonical_context
-from enrvar.translate import verify_theory_equivalence
 
 from conftest import FIXTURES
 from oracles import brute_morphisms

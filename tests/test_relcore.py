@@ -45,7 +45,15 @@ from enrvar.isoenum import all_models, all_structures, models_up_to
 from enrvar.monad import graph_presentation
 
 from conftest import FIXTURES, poset, random_structure
-from oracles import brute_morphisms, naive_chase, naive_models, naive_satisfies_formula, naive_structures
+from oracles import (
+    brute_morphisms,
+    naive_chase,
+    naive_models,
+    naive_qcat_axioms,
+    naive_satisfies_formula,
+    naive_simp_axioms,
+    naive_structures,
+)
 from test_monad import SATURATING
 
 POS = builtin_theory("pos")
@@ -583,8 +591,45 @@ class TestBuiltinTheories:
         assert {n for n, _ in T.signature.symbols} == {"R1", "R2"}
         refl = [ax for ax in T.axioms if not ax.premises and len(set(ax.conclusion[1])) == 1]
         assert len(refl) >= 2
-        # one axiom per function between arities 1 and 2: 1+2+1+4
-        assert len(T.axioms) == 2 + 8
+        # two deletions, one transposition and one duplication
+        assert len(T.axioms) == 2 + 4
+
+    @pytest.mark.parametrize("spec, count", [("simp(10)", 118), ("qchain(42)", 126)])
+    def test_largest_builtins_under_the_cap_build(self, spec, count):
+        assert len(builtin_theory(spec).axioms) == count <= relcore.MAX_BUILTIN_AXIOMS
+
+    @pytest.mark.parametrize("spec", ["simp(11)", "qchain(43)"])
+    def test_builtins_past_the_cap_are_refused(self, spec):
+        with pytest.raises(StructureError, match="axioms"):
+            builtin_theory(spec)
+
+    def test_generating_presentations_have_the_same_models(self):
+        """The generating axioms against every derived one (the oracles):
+        is_model agrees on every structure up to a size, one per
+        isomorphism class (a relabelling keeps both answers), and seeded
+        random structures on 6-14 elements chase alike."""
+        pairs = [(builtin_theory(f"simp({n})"), naive_simp_axioms(n), top) for n, top in ((1, 4), (2, 3), (3, 2))]
+        pairs += [
+            (builtin_theory(f"qchain({n})"), naive_qcat_axioms(heyting_chain(n)), top)
+            for n, top in ((2, 3), (3, 2))
+        ]
+        pairs.append((builtin_theory("qcat", q=diamond("bxyt")), naive_qcat_axioms(diamond("bxyt")), 2))
+        for T, naive, top in pairs:
+            assert T.signature == naive.signature and len(T.axioms) < len(naive.axioms)
+            for n in range(top + 1):
+                for X in all_structures(T.signature, n):
+                    assert is_model(X, T) == is_model(X, naive), (T.name, X)
+        rng = random.Random(1415)
+        for _ in range(200):
+            T, naive, _ = rng.choice(pairs)
+            carrier = tuple(f"x{i}" for i in range(rng.randint(6, 14)))
+            edges = frozenset(
+                (rel, tuple(rng.choice(carrier) for _ in range(ar)))
+                for rel, ar in T.signature.symbols
+                for _ in range(rng.randint(0, len(carrier)))
+            )
+            X = FinStructure(T.signature, carrier, edges)
+            assert chase(X, T) == chase(X, naive), (T.name, X)
 
     def test_qcat_requires_lattice(self):
         with pytest.raises(StructureError):

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from enrvar.algebra import (
@@ -13,16 +11,14 @@ from enrvar.algebra import (
     enumerate_algebras,
     ordinary_signature,
     satisfies_theory,
-    theory_parts,
 )
 from enrvar.dsl import parse_theory
 from enrvar.isoenum import model_families
-from enrvar.relcore import LE, FinStructure, StructureError, builtin_theory, terminal
+from enrvar.relcore import LE, builtin_theory, terminal
 from enrvar.syntax import (
     App,
     Arity,
     ChainRelation,
-    Context,
     Equation,
     ExplicitChain,
     IteratedChain,
