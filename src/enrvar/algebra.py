@@ -18,10 +18,10 @@ from .relcore import (
     HornTheory,
     SignatureMismatch,
     StructureError,
+    _image,
+    _preserves,
     _product_on,
     _sortwise_search,
-    as_image_tuple,
-    exp_edge_holds,
     exponential,
     is_model,
     is_pi_morphism,
@@ -307,14 +307,18 @@ def validate_ops(sig: EnrichedSignature, carrier, interp) -> list[str]:
             if set(table) != set(dom.carrier):
                 problems.append(f"{name}: table domain differs from the input power")
                 continue
+            image = _image(table, dom.carrier, cod)
+            if image is None:
+                point = ", ".join(map(render_id, next(x for x in dom.carrier if table[x] not in cod.index)))
+                problems.append(f"{name}: table sends ({point}) outside the carrier of {op.output}")
+                continue
             if not is_pi_morphism(table, dom, cod):
                 problems.append(f"{name}: table is not edge-preserving")
-            tables[p] = as_image_tuple(table, dom)
+            tables[p] = image
         if len(tables) == len(op.param.carrier):
             for rel in sig.base.signature.names:
                 for ptup in op.param.edges_by_rel[rel]:
-                    fs = tuple(tables[p] for p in ptup)
-                    if not exp_edge_holds(dom, cod, rel, fs):
+                    if not _preserves(dom, cod, rel, [tables[p] for p in ptup]):
                         problems.append(
                             f"{op.name}: parameter family breaks the {rel} edge "
                             f"at ({', '.join(render_id(p) for p in ptup)})"

@@ -15,6 +15,8 @@ from .relcore import (
     LE,
     FinStructure,
     StructureError,
+    _image,
+    _preserves,
     builtin_theory,
     chase,
     count_morphisms,
@@ -121,14 +123,9 @@ def is_presentation_morphism(
     presentation or a poset regarded as one."""
     X = P.preorder
     QX = Q if isinstance(Q, FinStructure) else Q.preorder
-    for x in X.carrier:
-        if x not in f:
-            raise StructureError(f"map is not total: {x!r} unassigned")
-    succ, idx = QX.rows[LE][0], QX.index
-    for a, b in X.edges_by_rel[LE]:
-        i, j = idx.get(f[a]), idx.get(f[b])
-        if i is None or j is None or not succ[i] >> j & 1:
-            return False
+    image = _image(f, X.carrier, QX)
+    if image is None or not _preserves(X, QX, LE, [image, image]):
+        return False
     for p, chain in P.covers:
         if not cover_holds(Q, f[p], tuple(f[u] for u in chain)):
             return False
@@ -136,17 +133,6 @@ def is_presentation_morphism(
 
 
 # -- chain-relation satisfaction -------------------------------------------------
-
-def _table_leq(dom: FinStructure, cod: FinStructure, ta: Mapping, tb: Mapping) -> bool:
-    """Order of the internal hom: every <=-edge of the domain maps to a
-    <=-edge of the codomain across the two tables."""
-    succ, idx = cod.rows[LE][0], cod.index
-    for a, b in dom.edges_by_rel[LE]:
-        i, j = idx.get(ta[a]), idx.get(tb[b])
-        if i is None or j is None or not succ[i] >> j & 1:
-            return False
-    return True
-
 
 def satisfies_chain_relation(A, rel: ChainRelation) -> bool:
     """The materialized chain of term tables must increase in the internal
@@ -179,8 +165,9 @@ def satisfies_chain_relation(A, rel: ChainRelation) -> bool:
             raise IterationNotStabilized(
                 "iterated chain did not stabilize within the pigeonhole bound"
             )
-    for ta, tb in zip(tables, tables[1:]):
-        if not _table_leq(dom, cod, ta, tb):
+    images = [_image(t, dom.carrier, cod) for t in tables]
+    for fa, fb in zip(images, images[1:]):
+        if fa is None or fb is None or not _preserves(dom, cod, LE, [fa, fb]):
             return False
     return tables[-1] == limit
 

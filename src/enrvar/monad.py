@@ -50,8 +50,9 @@ from .relcore import (
     RelSignature,
     StructureError,
     _chase,
+    _image,
+    _preserves,
     _sortwise_search,
-    as_image_tuple,
     chase,
     exponential,
     is_model,
@@ -169,6 +170,8 @@ def check_relative_monad(M: RelMonadData) -> MonadReport:
                 ts = table.get(s, {})
                 if set(ts) != set(tj.carrier):
                     v.append(f"extension table not total at {s} for {J.label()}->{K.label()}")
+                elif any(y not in tk.index for y in ts.values()):
+                    v.append(f"extension of a map {J.label()}->{K.label()} leaves T{K.label()} at {s}")
                 elif not is_pi_morphism(ts, tj, tk):
                     v.append(
                         f"extension of a map {J.label()}->{K.label()} is not a morphism at {s}"
@@ -218,22 +221,16 @@ def check_relative_monad(M: RelMonadData) -> MonadReport:
         dom = hom_family(jobj, M.obj[K], M.base, M.sorts)
         cod = hom_family(M.obj[J], M.obj[K], M.base, M.sorts)
         star = {
-            k: tuple(
-                as_image_tuple(M.ext[(J, K, k)][s], M.obj[J][s]) for s in sorts
-            )
+            k: tuple(tuple(M.ext[(J, K, k)][s][x] for x in M.obj[J][s].carrier) for s in sorts)
             for k in ks
         }
-        codset = set(cod.carrier)
-        for k in ks:
-            if star[k] not in codset:
-                v.append(f"extension image leaves the hom family for {J.label()}->{K.label()}")
+        image = _image(star, dom.carrier, cod)
+        if image is None:
+            v.append(f"extension image leaves the hom family for {J.label()}->{K.label()}")
+            continue
         for rel, ar in M.base.signature.symbols:
-            for tup in dom.edges_by_rel[rel]:
-                image = (rel, tuple(star[k] for k in tup))
-                if image not in cod.edges:
-                    v.append(
-                        f"k -> k* breaks a {rel} edge between maps {J.label()}->T{K.label()}"
-                    )
+            if not _preserves(dom, cod, rel, [image] * ar):
+                v.append(f"k -> k* breaks a {rel} edge between maps {J.label()}->T{K.label()}")
     return MonadReport(v)
 
 
@@ -341,14 +338,8 @@ def is_tj_algebra(A: TjAlgebra, M: RelMonadData) -> bool:
         jobj = M.arity_objects[J]
         dom = hom_family(jobj, A.carrier, M.base, M.sorts)
         cod = hom_family(M.obj[J], A.carrier, M.base, M.sorts)
-        codset = set(cod.carrier)
-        for x in xs:
-            if A.structure[J][x] not in codset:
-                return False
-        for rel in M.base.signature.names:
-            for tup in dom.edges_by_rel[rel]:
-                if (rel, tuple(A.structure[J][x] for x in tup)) not in cod.edges:
-                    return False
+        if any(y not in cod.index for y in sig.values()) or not is_pi_morphism(sig, dom, cod):
+            return False
     # extension law
     for J, K in itertools.product(M.arities, repeat=2):
         for k in all_maps_into(J, M.obj[K], M.sorts):

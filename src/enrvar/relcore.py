@@ -252,22 +252,53 @@ def _same_signature(*objs) -> RelSignature | None:
     return sig
 
 
-def _check_total(f: Mapping, domain: Iterable, Y: FinStructure) -> None:
-    ytargets = Y.index
+def _image(f: Mapping, domain: Iterable, Y: FinStructure) -> list | None:
+    """Y's carrier indices of f's values over domain, in order, or None when
+    one is outside Y; a partial f raises StructureError, whatever its values."""
+    idx = Y.index
+    image = []
     for x in domain:
         if x not in f:
             raise StructureError(f"map is not total: {x!r} unassigned")
-        if f[x] not in ytargets:
-            raise StructureError(f"map sends {x!r} outside the target carrier")
+        image.append(idx.get(f[x]))
+    return None if None in image else image
+
+
+def _preserves(X: FinStructure, Y: FinStructure, rel: str, images: list) -> bool:
+    """The one edge rule of every morphism and hom-family check: every rel-edge
+    of X, its i-th element read through images[i] (as _image gives it), is an
+    edge of Y.rows: a binary one by a successor bit, a unary one by the mask,
+    a nullary one by the flag and a wider one in the set of index tuples."""
+    xs, idx, held = X.edges_by_rel[rel], X.index, Y.rows[rel]
+    if len(images) == 2:
+        succ, (f, g) = held[0], images
+        for a, b in xs:
+            if not succ[f[idx[a]]] >> g[idx[b]] & 1:
+                return False
+    elif len(images) == 1:
+        (f,) = images
+        for (a,) in xs:
+            if not held >> f[idx[a]] & 1:
+                return False
+    elif not images:
+        return bool(held) or not xs
+    else:
+        for tup in xs:
+            if tuple([h[idx[x]] for h, x in zip(images, tup)]) not in held:
+                return False
+    return True
 
 
 def is_pi_morphism(f: Mapping, X: FinStructure, Y: FinStructure) -> bool:
-    """True iff f maps the carrier of X into Y and every edge to an edge."""
+    """True iff f maps the carrier of X into Y and every edge to an edge, by
+    _preserves; a partial f, or one that leaves Y, raises StructureError."""
     _same_signature(X, Y)
-    _check_total(f, X.carrier, Y)
-    yedges = Y.edges
-    for rel, tup in X.edges:
-        if (rel, tuple(f[x] for x in tup)) not in yedges:
+    image = _image(f, X.carrier, Y)
+    if image is None:
+        x = next(x for x in X.carrier if f[x] not in Y.index)
+        raise StructureError(f"map sends {x!r} outside the target carrier")
+    for rel, ar in X.signature.symbols:
+        if not _preserves(X, Y, rel, [image] * ar):
             return False
     return True
 
@@ -846,22 +877,6 @@ def count_morphisms(X: FinStructure, Y: FinStructure) -> int:
     return _morphism_search(X, Y)
 
 
-def exp_edge_holds(X: FinStructure, Y: FinStructure, rel: str, fs: tuple) -> bool:
-    """Edge test of the exponential for one family: fs are image tuples over
-    the carrier order of X; the edge holds iff every rel-edge of X maps to a
-    rel-edge of Y componentwise."""
-    idx = X.index
-    yedges = Y.edges
-    for tup in X.edges_by_rel[rel]:
-        if (rel, tuple(f[idx[x]] for f, x in zip(fs, tup))) not in yedges:
-            return False
-    return True
-
-
-def as_image_tuple(f: Mapping, X: FinStructure) -> tuple:
-    return tuple(f[x] for x in X.carrier)
-
-
 def _exponential_edges(X: FinStructure, Y: FinStructure, homs: list) -> list:
     """The edges of [X, Y] over the hom-set homs (image tuples), in
     lexicographic order per relation, by _search over homs.  A set of homs
@@ -910,7 +925,7 @@ def exponential(X: FinStructure, Y: FinStructure, T: HornTheory) -> FinStructure
     """The certified exponential [X, Y] of two T-models, built once per
     (X, Y, T) and cached: carrier is the hom-set (image tuples in enumeration
     order); (rel, fs) is an edge iff fs maps every rel-edge of X to a rel-edge
-    of Y componentwise.
+    of Y componentwise: the one edge rule, whose test is _preserves.
 
     By this edge rule g : Z -> [X, Y] preserves edges iff its transpose
     does, so curry and uncurry check only that side, and certification is
@@ -941,7 +956,9 @@ def curry(f: Mapping, Z: FinStructure, X: FinStructure, Y: FinStructure, T: Horn
     checked: its rows are in Hom(X, Y) by Z's reflexive diagonal edges, and
     it is a morphism into [X, Y] iff f is one."""
     _same_signature(Z, X, Y)
-    _check_total(f, itertools.product(Z.carrier, X.carrier), Y)
+    if _image(f, itertools.product(Z.carrier, X.carrier), Y) is None:
+        zx = next(zx for zx in itertools.product(Z.carrier, X.carrier) if f[zx] not in Y.index)
+        raise StructureError(f"map sends {zx!r} outside the target carrier")
     E = exponential(X, Y, T)
     g = {z: tuple(f[(z, x)] for x in X.carrier) for z in Z.carrier}
     if any(v not in E.index for v in g.values()) or not is_pi_morphism(g, Z, E):

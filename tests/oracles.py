@@ -47,6 +47,17 @@ def brute_morphisms(X, Y) -> list[dict]:
     return out
 
 
+def exp_edge_holds(X, Y, rel, fs) -> bool:
+    """Edge test of the exponential [X, Y] for one family: fs are image
+    tuples over the carrier order of X; the edge holds iff every rel-edge of
+    X maps to a rel-edge of Y componentwise."""
+    return all(
+        (rel, tuple(f[X.index[x]] for f, x in zip(fs, tup))) in Y.edges
+        for r, tup in X.edges
+        if r == rel
+    )
+
+
 def naive_chase(X, T):
     """Fixpoint by repeated full scans; merges via explicit substitution maps
     rather than union-find."""

@@ -141,6 +141,11 @@ class TestValidateAlgebra:
         assert not report.ok
         assert any("edge-preserving" in p for p in report.problems)
 
+    def test_table_leaving_the_carrier_is_a_problem(self):
+        A = max_monoid()
+        A.interp["mul"][("0", "1")] = "zzz"
+        assert validate_algebra(A).problems == ["mul: table sends (0, 1) outside the carrier of M"]
+
 
 class TestInterpretation:
     def test_variable_is_projection(self):

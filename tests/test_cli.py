@@ -84,6 +84,19 @@ class TestCommands:
         assert "maxmon: valid algebra" in out
         assert "badmon: INVALID" in out
 
+    def test_check_algebra_table_leaving_the_carrier(self, tmp_path, capsys):
+        f = tmp_path / "outside.alg"
+        f.write_text(
+            (FIXTURES / "maxmon.alg").read_text().replace("(a, b) -> b", "(a, b) -> c", 1)
+        )
+        code, out, err = run(capsys, "check-algebra", str(f), "--algebra", "maxmon", "--json")
+        assert code == 1 and err == ""
+        doc = json.loads(out)
+        assert doc["failures"] == ["maxmon"]
+        assert doc["algebras"]["maxmon"]["problems"] == [
+            "mul: table sends (a, b) outside the carrier of M"
+        ]
+
     def test_translate_pipeline_round_trips(self, tmp_path, capsys):
         enriched = tmp_path / "enriched.thy"
         code, _, _ = run(

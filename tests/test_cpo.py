@@ -161,6 +161,63 @@ class TestPresentationMorphisms:
         assert is_presentation_morphism({"p": "x", "u0": "y", "u1": "y"}, pres, X)
         assert not is_presentation_morphism({"p": "y", "u0": "x", "u1": "x"}, pres, X)
 
+    def test_partial_map_rejected(self):
+        pres = CpoPresentation(preorder_of(("a", "b"), [("a", "b")]))
+        with pytest.raises(StructureError, match="'b' unassigned"):
+            is_presentation_morphism({"a": "x"}, pres, poset(("x",), []))
+
+    def test_map_leaving_the_target_is_not_a_morphism(self):
+        pres = CpoPresentation(preorder_of(("a", "b"), [("a", "b")]))
+        assert not is_presentation_morphism({"a": "x", "b": "zzz"}, pres, poset(("x",), []))
+
+    def test_partial_map_leaving_the_target_rejected(self):
+        # totality is checked before any value is read
+        pres = CpoPresentation(preorder_of(("a", "b", "c"), []))
+        with pytest.raises(StructureError, match="'c' unassigned"):
+            is_presentation_morphism({"a": "zzz", "b": "x"}, pres, poset(("x",), []))
+
+    def test_agrees_with_edge_set_filter_on_every_map(self):
+        # criterion 7's presentations on <= 3 elements into the posets on
+        # <= 3 elements; the reference maps every edge and every cover by
+        # edge-set lookups
+        posets = models_up_to(POS, 3, min_size=1)
+        presentations = []
+        for P in models_up_to(PREORD, 3):
+            chains = [
+                combo
+                for r in range(1, len(P.carrier) + 1)
+                for combo in itertools.combinations(P.carrier, r)
+                if all(_comparable(P, a, b) for a, b in itertools.combinations(combo, 2))
+            ]
+            singles = [(p, chain) for p in P.carrier for chain in chains]
+            pairs = list(itertools.combinations(singles, 2))
+            presentations.append(CpoPresentation(P, ()))
+            presentations += [CpoPresentation(P, (cover,)) for cover in singles]
+            presentations += [CpoPresentation(P, pair) for pair in pairs[:: max(1, len(pairs) // 40)]]
+        held = total = 0
+        for pres, Y in itertools.product(presentations, posets):
+            X = pres.preorder
+            for image in itertools.product(Y.carrier, repeat=len(X.carrier)):
+                f = dict(zip(X.carrier, image))
+                expected = all(
+                    (LE, (f[a], f[b])) in Y.edges for _, (a, b) in X.edges
+                ) and all(
+                    any(
+                        all((LE, (f[u], f[t])) in Y.edges for u in chain)
+                        and (LE, (f[p], f[t])) in Y.edges
+                        for t in chain
+                    )
+                    for p, chain in pres.covers
+                )
+                assert is_presentation_morphism(f, pres, Y) == expected
+                held += expected
+                total += 1
+        assert total > 20_000 and held > 5_000
+
+
+def _comparable(P, a, b):
+    return (LE, (a, b)) in P.edges or (LE, (b, a)) in P.edges
+
 
 def max_monoid_algebra():
     J2 = Arity.of(S, {"M": 2})

@@ -113,6 +113,29 @@ class TestLawChecker:
         assert not report.ok
         assert any("A1" in v for v in report.violations)
 
+    def test_extension_leaving_the_value_object_is_a_violation(self):
+        M = exception_truncation(SET, S, ARITIES[:2])
+        J1 = ARITIES[1]
+        M.ext[(J1, J1, M.unit[J1])]["A"]["e"] = "zzz"
+        assert check_relative_monad(M).violations == ["extension of a map A1->A1 leaves TA1 at A"]
+
+    def test_admissibility_is_reported_once_per_relation(self):
+        # TJ = the 3-chain a <= b <= c for J = one point, with unit a; the
+        # extensions of k = a, b and c are constant at c, a and b, so k -> k*
+        # breaks the two edges a <= b and a <= c of the hom family J -> TJ
+        POS = builtin_theory("pos")
+        J1 = ARITIES[1]
+        chain3 = FinStructure(POS.signature, ("a", "b", "c"), frozenset(
+            ("<=", (x, y)) for x, y in itertools.combinations_with_replacement("abc", 2)
+        ))
+        ext = {
+            (J1, J1, ((y,),)): {"A": dict.fromkeys("abc", z)}
+            for y, z in (("a", "c"), ("b", "a"), ("c", "b"))
+        }
+        M = monad.RelMonadData(POS, S, (J1,), {J1: {"A": chain3}}, {J1: (("a",),)}, ext)
+        breaks = [v for v in check_relative_monad(M).violations if "k -> k*" in v]
+        assert breaks == ["k -> k* breaks a <= edge between maps A1->TA1"]
+
     def test_fixture_monads_pass(self):
         for fixture in ("identity_monad.mnd", "exception_monad.mnd"):
             tf = parse_theory((FIXTURES / fixture).read_text())

@@ -26,7 +26,6 @@ from enrvar.relcore import (
     curry,
     enumerate_morphisms,
     evaluation_table,
-    exp_edge_holds,
     exponential,
     heyting_chain,
     is_model,
@@ -47,6 +46,7 @@ from enrvar.monad import graph_presentation
 from conftest import FIXTURES, poset, random_structure
 from oracles import (
     brute_morphisms,
+    exp_edge_holds,
     naive_chase,
     naive_models,
     naive_qcat_axioms,
@@ -95,8 +95,38 @@ class TestPiMorphism:
             assert is_pi_morphism({x: y for x in chain3.carrier}, chain3, discrete2)
 
     def test_partial_map_rejected(self, chain2):
-        with pytest.raises(StructureError):
+        with pytest.raises(StructureError, match="not total"):
             is_pi_morphism({"a": "a"}, chain2, chain2)
+
+    def test_map_leaving_the_target_rejected(self, chain2):
+        with pytest.raises(StructureError, match="'b' outside the target"):
+            is_pi_morphism({"a": "a", "b": "zzz"}, chain2, chain2)
+
+    def test_partial_map_leaving_the_target_rejected(self, chain3):
+        with pytest.raises(StructureError):
+            is_pi_morphism({"a": "zzz", "b": "a"}, chain3, chain3)
+
+    def test_agrees_with_brute_filter_on_every_map(self):
+        # every map between models on <= 3 elements, then every map between
+        # random structures over _MIXED_SIG, whose nullary and ternary
+        # relations no builtin has
+        pairs = [
+            (X, Y)
+            for name in ("set", "preord", "pos", "simp(2)", "qchain(3)")
+            for X, Y in itertools.product(models_up_to(builtin_theory(name), 3), repeat=2)
+        ]
+        rng = random.Random(16)
+        pairs += [
+            (random_structure(rng, _MIXED_SIG, 3), random_structure(rng, _MIXED_SIG, 3))
+            for _ in range(300)
+        ]
+        held = 0
+        for X, Y in pairs:
+            homs = {tuple(f[x] for x in X.carrier) for f in brute_morphisms(X, Y)}
+            for image in itertools.product(Y.carrier, repeat=len(X.carrier)):
+                assert is_pi_morphism(dict(zip(X.carrier, image)), X, Y) == (image in homs)
+            held += len(homs)
+        assert held > 10_000
 
 
 class TestSatisfiesFormula:
@@ -427,6 +457,29 @@ class TestExponential:
                 for fs in itertools.product(homs, repeat=ar)
                 if exp_edge_holds(X, Y, rel, fs)
             ]
+
+    def test_row_test_agrees_with_exp_edge_holds(self):
+        # the families of homs between models on <= 2 elements, then the
+        # families of all maps between random structures over _MIXED_SIG
+        cases = [
+            (X, Y, T.signature, list(exponential(X, Y, T).carrier))
+            for name in ("set", "preord", "pos", "simp(2)", "qchain(3)")
+            for T in [builtin_theory(name)]
+            for X, Y in itertools.product(models_up_to(T, 2), repeat=2)
+        ]
+        rng = random.Random(17)
+        for _ in range(200):
+            X, Y = random_structure(rng, _MIXED_SIG, 2), random_structure(rng, _MIXED_SIG, 2)
+            cases.append((X, Y, _MIXED_SIG, list(itertools.product(Y.carrier, repeat=len(X.carrier)))))
+        held = 0
+        for X, Y, sig, maps in cases:
+            for rel, ar in sig.symbols:
+                for fs in itertools.product(maps, repeat=ar):
+                    images = [[Y.index[y] for y in f] for f in fs]
+                    expected = exp_edge_holds(X, Y, rel, fs)
+                    assert relcore._preserves(X, Y, rel, images) == expected
+                    held += expected
+        assert held > 2_000
 
     def test_eval_is_a_morphism(self, chain2, chain3):
         E = exponential(chain2, chain3, POS)
