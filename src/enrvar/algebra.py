@@ -312,7 +312,7 @@ def validate_ops(sig: EnrichedSignature, carrier, interp) -> list[str]:
                 point = ", ".join(map(render_id, next(x for x in dom.carrier if table[x] not in cod.index)))
                 problems.append(f"{name}: table sends ({point}) outside the carrier of {op.output}")
                 continue
-            if not is_pi_morphism(table, dom, cod):
+            if not all(_preserves(dom, cod, rel, [image] * ar) for rel, ar in dom.signature.symbols):
                 problems.append(f"{name}: table is not edge-preserving")
             tables[p] = image
         if len(tables) == len(op.param.carrier):

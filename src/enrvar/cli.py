@@ -320,7 +320,7 @@ def cmd_free_algebra(args) -> int:
     T = tf.sole_theory()
     sig = theory_parts(T)[0]
     J = _parse_arity(args.arity, sig.sorts)
-    res = free_algebra(T, J, depth_bound=args.depth, size_bound=args.budget or 4000)
+    res = free_algebra(T, J, depth_bound=args.depth, budget=Budget(args.budget))
     payload = {
         "schema": "enrvar/free-algebra@1",
         "saturated": res.saturated,

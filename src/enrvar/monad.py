@@ -56,7 +56,6 @@ from .relcore import (
     chase,
     exponential,
     is_model,
-    is_pi_morphism,
     relabel,
     render_id,
 )
@@ -170,9 +169,11 @@ def check_relative_monad(M: RelMonadData) -> MonadReport:
                 ts = table.get(s, {})
                 if set(ts) != set(tj.carrier):
                     v.append(f"extension table not total at {s} for {J.label()}->{K.label()}")
-                elif any(y not in tk.index for y in ts.values()):
+                    continue
+                image = _image(ts, tj.carrier, tk)
+                if image is None:
                     v.append(f"extension of a map {J.label()}->{K.label()} leaves T{K.label()} at {s}")
-                elif not is_pi_morphism(ts, tj, tk):
+                elif not all(_preserves(tj, tk, rel, [image] * ar) for rel, ar in tj.signature.symbols):
                     v.append(
                         f"extension of a map {J.label()}->{K.label()} is not a morphism at {s}"
                     )
@@ -338,7 +339,10 @@ def is_tj_algebra(A: TjAlgebra, M: RelMonadData) -> bool:
         jobj = M.arity_objects[J]
         dom = hom_family(jobj, A.carrier, M.base, M.sorts)
         cod = hom_family(M.obj[J], A.carrier, M.base, M.sorts)
-        if any(y not in cod.index for y in sig.values()) or not is_pi_morphism(sig, dom, cod):
+        image = _image(sig, dom.carrier, cod)
+        if image is None or not all(
+            _preserves(dom, cod, rel, [image] * ar) for rel, ar in dom.signature.symbols
+        ):
             return False
     # extension law
     for J, K in itertools.product(M.arities, repeat=2):
@@ -616,11 +620,14 @@ def free_algebra(
     J: Arity,
     depth_bound: int = 3,
     size_bound: int = 4000,
+    budget: Budget | int | None = None,
 ) -> FreeAlgebraResult:
     """Bounded term model on the canonical context of J, computed by the
     chase of T's graph_presentation.  Its elements are terms, created only
     by growing layers; the chase merges them and keeps each class's earliest
-    created term as its representative.
+    created term as its representative.  The budget is charged one unit per
+    term made, the generators included, a layer's units before any of its
+    terms is made.
 
     The generators are chased first.  Then each iteration grows one layer:
     every classical symbol in declaration order, on every tuple of
@@ -636,6 +643,7 @@ def free_algebra(
     term was left out for depth.  When it does not hold, the tables are
     partial.
     """
+    bgt = ensure_budget(budget)
     sig = theory_parts(T)[0]
     signature, axioms = graph_presentation(T)
     ctx = canonical_context(J)
@@ -643,6 +651,7 @@ def free_algebra(
         (name, op.output, [s for _, s in canonical_context(op.inputs).entries])
         for name, op, _ in classical_symbols(sig)
     ]
+    bgt.charge(len(ctx))
     # per term made, by id: the term, its sort and its depth
     reps: list[Term] = [Var(i) for i in range(len(ctx))]
     sort = [s for _, s in ctx.entries]
@@ -671,6 +680,7 @@ def free_algebra(
                 pools[out].append(y)
         if not layer:
             break
+        bgt.charge(len(layer))
         new = set()
         for name, args, y in layer:
             reps.append(App(name, tuple(reps[a] for a in args)))

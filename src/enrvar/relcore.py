@@ -124,29 +124,56 @@ class FinStructure:
 
 
 def _rows(signature: RelSignature, index: Mapping, edges: Iterable) -> dict:
-    """Fresh rows (see FinStructure.rows) of edges, elements numbered by index."""
+    """Fresh rows (see FinStructure.rows) of edges, elements numbered by
+    index, built in one pass over the edges."""
     n = len(index)
     rows = {
         rel: [[0] * n, [0] * n, 0] if ar == 2 else set() if ar > 2 else 0
         for rel, ar in signature.symbols
     }
     for rel, tup in edges:
-        _add(rows, rel, tuple([index[x] for x in tup]))
+        st = rows[rel]
+        if len(tup) == 2:
+            a, b = tup
+            i, j = index[a], index[b]
+            st[0][i] |= 1 << j
+            st[1][j] |= 1 << i
+            if i == j:
+                st[2] |= 1 << i
+        elif len(tup) == 1:
+            rows[rel] = st | 1 << index[tup[0]]
+        elif tup:
+            st.add(tuple([index[x] for x in tup]))
+        else:
+            rows[rel] = True
     return rows
 
 
-def _add(rows: dict, rel, t: tuple) -> None:
-    """Add the edge t, a tuple of indices, to rows in place."""
-    state = rows[rel]
-    if len(t) == 2:
-        i, j = t
-        state[0][i] |= 1 << j
-        state[1][j] |= 1 << i
-        state[2] |= (i == j) << i
-    elif len(t) > 2:
-        state.add(t)
-    else:
-        rows[rel] = state | 1 << t[0] if t else True
+def _put(rows: dict, delta: dict, rel, inst: tuple, mask: int) -> None:
+    """Add the rel-edges that inst, a tuple of indices and Nones, gives with
+    each set bit of mask in place of its Nones, to rows and to delta, both
+    in the form of FinStructure.rows: for a binary relation, (i, None) ORs
+    mask into the successors of i, (None, j) into the predecessors of j and
+    (None, None) into the loops."""
+    for held in (rows, delta):
+        st = held[rel]
+        if inst == (None, None):
+            for v in _bits(mask):
+                st[0][v] |= 1 << v
+                st[1][v] |= 1 << v
+            st[2] |= mask
+        elif len(inst) == 2:
+            k, line, cross = (inst[0], 0, 1) if inst[1] is None else (inst[1], 1, 0)
+            st[line][k] |= mask
+            for v in _bits(mask):
+                st[cross][v] |= 1 << k
+            st[2] |= mask & 1 << k
+        elif len(inst) == 1:
+            held[rel] = st | mask
+        elif not inst:
+            held[rel] = True
+        else:
+            st.update(tuple([v if x is None else x for x in inst]) for v in _bits(mask))
 
 
 @dataclass(frozen=True)
@@ -320,12 +347,12 @@ class _Join(NamedTuple):
 def _fire(join: _Join, Y, alive: int, record, seed=None, tries=None) -> bool:
     """Search the matches of join's premises in Y (see _constrain), within
     the mask alive, for the instances at which the conclusion fails; with
-    seed, the trie of the seed's edges (_trie, or () when it is nullary),
-    the seed reads only those.  The conclusion's last variable is not
-    enumerated: its domain, less the values at which the conclusion holds,
-    goes to record(rel, inst, mask), inst being the conclusion's values with
-    None there (a nullary one gives mask 1).  A true result stops the
-    search, which then returns True."""
+    seed, trie levels over the seed's relation (_levels, or () when it is
+    nullary), the seed reads only the edges they hold.  The conclusion's last
+    variable is not enumerated: its domain, less the values at which the
+    conclusion holds, goes to record(rel, inst, mask), inst being the
+    conclusion's values with None there (a nullary one gives mask 1).  A
+    true result stops the search, which then returns True."""
     crel, cps = join.conclusion
     n = len(join.pattern.carrier)
     doms = [alive] * n
@@ -394,24 +421,22 @@ def chase(X: FinStructure, T: HornTheory) -> ChaseResult:
     return _chase(X, T.signature, T.axioms)
 
 
-def _absorb(state: list, b: int, r: int) -> list:
-    """Merge element b of a binary relation [succ, pred, loops] into r in
-    place, ORing b's row and column into r's; return the pairs r gains."""
+def _absorb(state: list, b: int, r: int) -> tuple:
+    """Remove element b from a binary relation [succ, pred, loops] in place
+    and return the successors and the predecessors, as masks, that r gains
+    from it, b's loop becoming r's (for _put at (r, None) and (None, r))."""
     succ, pred, loops = state
     B, R = 1 << b, 1 << r
     out, inn = succ[b], pred[b]
     succ[b] = pred[b] = 0
-    if out & B:  # the loop at b becomes one at r
-        out, inn = out ^ B | R, inn ^ B | R
-    gained = [(r, j) for j in _bits(out & ~succ[r])] + [(i, r) for i in _bits(inn & ~pred[r])]
-    succ[r] |= out
-    pred[r] |= inn
     for j in _bits(out):
-        pred[j] = pred[j] & ~B | R
+        pred[j] &= ~B
     for i in _bits(inn):
-        succ[i] = succ[i] & ~B | R
-    state[2] = loops & ~B | (succ[r] >> r & 1) << r
-    return gained
+        succ[i] &= ~B
+    state[2] = loops & ~B
+    if out & B:
+        out, inn = out ^ B | R, inn ^ B | R
+    return out & ~succ[r], inn & ~pred[r]
 
 
 def _chase(X: FinStructure, signature: RelSignature, axioms: tuple) -> ChaseResult:
@@ -424,10 +449,13 @@ def _chase(X: FinStructure, signature: RelSignature, axioms: tuple) -> ChaseResu
     updated in place.  A first round fires the premise-free axioms and a
     second each other axiom's first join, over all the rows; a later round
     fires, per axiom, the join of each premise whose relation gained edges
-    in the round before, that premise reading only those.  The failing
-    conclusion instances (_fire) are the new edges or the merges; a merge
-    keeps the element earlier in carrier order and ORs the other's rows and
-    columns into its own."""
+    in the round before, that premise reading only those.  The edges a
+    round gains, its delta, are held as rows too, so a seed premise reads
+    its trie levels straight from them (_levels).  The failing conclusion
+    instances (_fire) are the new edges, each instance's mask added to the
+    rows and the delta at once (_put), or the merges; a merge keeps the
+    element earlier in carrier order, which gains the other's rows and
+    columns (_absorb) by the same _put, so that its gains join the delta."""
     arity = signature.arity
     original = X.carrier
     values = range(len(original))
@@ -456,35 +484,36 @@ def _chase(X: FinStructure, signature: RelSignature, axioms: tuple) -> ChaseResu
                     _fire(join, full, alive, record, None, tries)
                 elif stage == 2 and join.seed and join.seed[0] in delta:
                     if join.seed not in seeds:
-                        seeds[join.seed] = join.seed[1] and _trie(delta[join.seed[0]], join.seed[1], values)
+                        seeds[join.seed] = join.seed[1] and _levels(delta[join.seed[0]], join.seed[1], values)
                     _fire(join, full, alive, record, seeds[join.seed], tries)
-        delta = {}  # per relation: the edges it gained in this round
+        delta = _rows(signature, values, ())  # the edges gained in this round
+        merged = 0  # the elements merged into others in this round
         for (rel, inst), mask in found.items():
-            for v in _bits(mask):
-                t = tuple([v if x is None else x for x in inst])
-                if rel in _EQ_SPELLINGS:
-                    a, b = find(t[0]), find(v)
-                    parent[max(a, b)] = min(a, b)
-                else:
-                    _add(rows, rel, t)
-                    delta.setdefault(rel, set()).add(t)
-        merged = any(rel in _EQ_SPELLINGS for rel, _ in found)
+            if rel in _EQ_SPELLINGS:
+                for v in _bits(mask):
+                    a, b = find(inst[0]), find(v)
+                    if a != b:
+                        parent[max(a, b)] = min(a, b)
+                        merged |= 1 << max(a, b)
+            else:
+                _put(rows, delta, rel, inst, mask)
         found.clear()
-        for b in _bits(alive) if merged else ():
+        alive ^= merged
+        for b in _bits(merged):
             r = find(b)
-            if r != b:
-                alive ^= 1 << b
-                for rel, st in rows.items():
-                    if arity[rel] == 2:
-                        delta.setdefault(rel, set()).update(_absorb(st, b, r))
-                    elif arity[rel] == 1 and st >> b & 1:
-                        rows[rel] = st ^ 1 << b | 1 << r
-                        delta.setdefault(rel, set()).add((r,))
+            for rel, st in rows.items():
+                if arity[rel] == 2:
+                    out, inn = _absorb(st, b, r)
+                    _put(rows, delta, rel, (r, None), out)
+                    _put(rows, delta, rel, (None, r), inn)
+                elif arity[rel] == 1 and st >> b & 1:
+                    rows[rel] = st ^ 1 << b
+                    _put(rows, delta, rel, (None,), 1 << r)
         for rel, st in rows.items():
             if merged and arity[rel] > 2:
                 rows[rel] = {tuple([find(x) for x in t]) for t in st}
-                delta.setdefault(rel, set()).update(rows[rel] - st)
-        delta = {rel: d for rel, d in delta.items() if d}
+                delta[rel] |= rows[rel] - st
+        delta = {rel: d for rel, d in delta.items() if (any(d[0]) if arity[rel] == 2 else d)}
         if stage and not delta:
             break
         stage = min(stage + 1, 2)
@@ -675,7 +704,8 @@ def _trie(tuples, ps: tuple, vals, off: int = 0) -> list:
     off + i), after Veldhuizen, "Leapfrog Triejoin" (ICDT 2014).  For its
     distinct variables u_1 < ... < u_k, level 1 is the mask of u_1, level 2
     the mask of u_2 per bit of u_1, and level j the mask of u_j per tuple of
-    values of u_1 ... u_{j-1}.  A repeated variable is an equality test."""
+    values of u_1 ... u_{j-1}.  A repeated variable is an equality test.
+    Built only for relations of arity 3 or more (see _levels)."""
     us = sorted(set(ps))
     at = [ps.index(u) for u in us]
     same = [(p, ps.index(u)) for p, u in enumerate(ps) if ps.index(u) != p]
@@ -691,6 +721,28 @@ def _trie(tuples, ps: tuple, vals, off: int = 0) -> list:
             pre = tuple([vals[x] for x in key[:j]])
             levels[j][pre] = levels[j].get(pre, 0) | 1 << off + key[j]
     return levels
+
+
+def _levels(state, ps: tuple, vals, off: int = 0) -> list:
+    """The trie levels (see _trie) of an atom with the search variables ps
+    at its positions, over its relation held as FinStructure.rows holds it:
+    a unary relation's mask; a binary one's loop mask when ps repeats its
+    variable, else its successor rows (its predecessor rows when ps[0] is
+    the later variable) under the mask of the non-empty ones, which is the
+    union of the rows the other way.  Nothing is built but a wider
+    relation's trie, whose bits start at off; rows are read at offset 0."""
+    if len(ps) == 1:
+        return [state]
+    if len(ps) > 2:
+        return _trie(state, ps, vals, off)
+    succ, pred, loops = state
+    if ps[0] == ps[1]:
+        return [loops]
+    rows, cols = (succ, pred) if ps[0] < ps[1] else (pred, succ)
+    first = 0
+    for c in cols:
+        first |= c
+    return [first, rows]
 
 
 def _bind(levels: list, ps: tuple, doms: list, fwd: list, deep: dict) -> None:
@@ -734,7 +786,7 @@ def _constrain(X: FinStructure, Y, base: int, off: int,
     and carrier.  A self-loop or a unary edge narrows a domain once, every
     other binary edge links its earlier element to its later one, and a
     wider edge narrows each of its elements in turn by the trie of Y's
-    relation (_trie), built once per shape of edge and kept in tries when
+    relation (_levels), built once per shape of edge and kept in tries when
     given.  False when a nullary edge of X is missing from Y.  X's
     relations must be Y's; the signatures are not compared."""
     idx = X.index
@@ -770,7 +822,7 @@ def _constrain(X: FinStructure, Y, base: int, off: int,
                 ps = tuple([base + idx[x] for x in tup])
                 shape = (rel, tuple([sorted(ps).index(p) for p in ps]))
                 if shape not in tries:
-                    tries[shape] = _trie(rows[rel], ps, Y.carrier, off)
+                    tries[shape] = _levels(rows[rel], ps, Y.carrier, off)
                 _bind(tries[shape], ps, doms, fwd, deep)
     return True
 

@@ -58,34 +58,47 @@ def exp_edge_holds(X, Y, rel, fs) -> bool:
     )
 
 
+def _matches(premises, edges_by_rel, env):
+    """Every extension of the valuation env that makes each of premises an
+    edge, by scanning the edges of its relation once per premise."""
+    if not premises:
+        yield env
+        return
+    (rel, tup), *rest = premises
+    for e in edges_by_rel.get(rel, ()):
+        ext = dict(env)
+        if all(ext.setdefault(v, x) == x for v, x in zip(tup, e)):
+            yield from _matches(rest, edges_by_rel, ext)
+
+
 def naive_chase(X, T):
-    """Fixpoint by repeated full scans; merges via explicit substitution maps
-    rather than union-find."""
+    """Fixpoint by repeated full scans, one change per scan; merges via
+    explicit substitution maps rather than union-find.  A scan matches each
+    axiom's premises edge by edge and ranges its other conclusion variables
+    over the carrier."""
     carrier = list(X.carrier)
     edges = set(X.edges)
     unit = {x: x for x in X.carrier}
     while True:
-        Xc = FinStructure(T.signature, tuple(carrier), frozenset(edges))
+        by_rel: dict = {}
+        for rel, tup in edges:
+            by_rel.setdefault(rel, []).append(tup)
         change = None
         for ax in T.axioms:
-            variables = sorted(
-                {v for _, tup in ax.premises for v in tup} | set(ax.conclusion[1])
-            )
-            for values in itertools.product(carrier, repeat=len(variables)):
-                env = dict(zip(variables, values))
-                if any(
-                    (rel, tuple(env[v] for v in tup)) not in edges
-                    for rel, tup in ax.premises
-                ):
-                    continue
-                crel, cvars = ax.conclusion
-                inst = tuple(env[v] for v in cvars)
-                if crel in (EQ, "=="):
-                    if inst[0] != inst[1]:
-                        change = ("merge", inst)
+            crel, cvars = ax.conclusion
+            for env in _matches(sorted(ax.premises, key=repr), by_rel, {}):
+                free = [v for v in dict.fromkeys(cvars) if v not in env]
+                for values in itertools.product(carrier, repeat=len(free)):
+                    full = {**env, **dict(zip(free, values))}
+                    inst = tuple(full[v] for v in cvars)
+                    if crel in (EQ, "=="):
+                        if inst[0] != inst[1]:
+                            change = ("merge", inst)
+                            break
+                    elif (crel, inst) not in edges:
+                        change = ("edge", (crel, inst))
                         break
-                elif (crel, inst) not in edges:
-                    change = ("edge", (crel, inst))
+                if change:
                     break
             if change:
                 break

@@ -172,6 +172,30 @@ class TestCommands:
         assert code == 1
         assert "size bound" in err
 
+    def test_free_algebra_budget_is_one(self, capsys):
+        # semilattice on 2 makes 11 terms: 2 generators, then layers of 4 and 5
+        args = ("free-algebra", str(FIXTURES / "semilattice.thy"), "--arity", "2")
+        code, _, err = run(capsys, *args, "--budget", "10")
+        assert code == 1
+        assert "enumeration budget of 10 exceeded" in err
+        assert "Traceback" not in err
+        assert run(capsys, *args, "--budget", "11")[0] == 0
+
+    @pytest.mark.parametrize("budget", ["abc", "0"])
+    def test_free_algebra_budget_variable_is_two(self, capsys, monkeypatch, budget):
+        monkeypatch.setenv("ENRVAR_BUDGET", budget)
+        code, _, err = run(capsys, "free-algebra", str(FIXTURES / "semilattice.thy"), "--arity", "2")
+        assert code == 2
+        assert f"ENRVAR_BUDGET='{budget}'" in err
+        assert "Traceback" not in err
+
+    def test_free_algebra_budget_below_one_is_two(self, capsys):
+        code, _, err = run(
+            capsys, "free-algebra", str(FIXTURES / "semilattice.thy"), "--arity", "2", "--budget=0",
+        )
+        assert code == 2
+        assert "argument --budget: must be at least 1, not 0" in err
+
     def test_verify_presentation(self, capsys):
         code, out, _ = run(
             capsys,

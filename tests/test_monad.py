@@ -136,6 +136,17 @@ class TestLawChecker:
         breaks = [v for v in check_relative_monad(M).violations if "k -> k*" in v]
         assert breaks == ["k -> k* breaks a <= edge between maps A1->TA1"]
 
+    def test_extension_that_is_no_morphism_is_a_violation(self):
+        POS = builtin_theory("pos")
+        J1 = ARITIES[1]
+        chain3 = FinStructure(POS.signature, ("a", "b", "c"), frozenset(
+            ("<=", (x, y)) for x, y in itertools.combinations_with_replacement("abc", 2)
+        ))
+        ext = {(J1, J1, ((y,),)): {"A": dict.fromkeys("abc", y)} for y in "abc"}
+        ext[J1, J1, (("b",),)] = {"A": {"a": "b", "b": "a", "c": "c"}}
+        M = monad.RelMonadData(POS, S, (J1,), {J1: {"A": chain3}}, {J1: (("a",),)}, ext)
+        assert check_relative_monad(M).violations == ["extension of a map A1->A1 is not a morphism at A"]
+
     def test_fixture_monads_pass(self):
         for fixture in ("identity_monad.mnd", "exception_monad.mnd"):
             tf = parse_theory((FIXTURES / fixture).read_text())
@@ -482,6 +493,27 @@ class TestFreeAlgebra:
         with pytest.raises(StructureError, match="size bound"):
             free_algebra(T, Arity.of(T.signature.sorts, {"G": 2}))
         assert time.perf_counter() - started < 5
+
+    def test_budget_is_charged_per_term_before_its_layer(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(monad, "App", lambda *args: made.append(args) or App(*args))
+
+        class Recording(Budget):
+            def charge(self, amount=1):
+                log.append((amount, len(made)))
+                super().charge(amount)
+
+        T, J = fixture_theory("semilattice"), Arity.of(S, {"A": 3})
+        log = []
+        assert free_algebra(T, J, budget=Recording(10**6)).class_count == 7
+        # the generators, then each layer before any of its terms is made
+        assert log[0] == (3, 0) and sum(a for a, _ in log) == 52 == 3 + len(made)
+        assert all(m == sum(a for a, _ in log[1:k]) for k, (_, m) in enumerate(log))
+        made.clear()
+        log = []
+        with pytest.raises(BudgetExceeded, match="budget of 51 exceeded"):
+            free_algebra(T, J, budget=Recording(51))
+        assert len(made) == 52 - 3 - log[-1][0]
 
     @pytest.mark.parametrize("name", SATURATING)
     def test_universal_property_against_small_algebras(self, name):
