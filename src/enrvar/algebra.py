@@ -19,8 +19,8 @@ from .relcore import (
     SignatureMismatch,
     StructureError,
     _image,
+    _map_edges,
     _preserves,
-    _product_on,
     _sortwise_search,
     exponential,
     is_model,
@@ -263,22 +263,25 @@ def _hom_structure(
     funcs: Iterable,
 ) -> FinStructure:
     """The substructure of hom_family(X, Y, base, sorts) on the families that
-    satisfy the functional constraints funcs, found by one search over
-    sortwise maps.  Variables are (sort, element) pairs in sort order, then
-    carrier order, numbered as in _var_index; each (fn, entries) in funcs
-    asks, for every (args, r) in entries, that the family sends variable r
-    to fn of its images of the variables args.  The families come out in the
-    carrier order of hom_family, and the edges are those of the product of
-    the per-sort exponentials."""
+    satisfy the functional constraints funcs, found by the one hom-set
+    search (_sortwise_search).  Variables are (sort, element) pairs in sort
+    order, then carrier order, numbered as in _var_index; each (fn, entries)
+    in funcs asks, for every (args, r) in entries, that the family sends
+    variable r to fn of its images of the variables args.  The families come
+    out in the carrier order of hom_family, with the edges of the product of
+    the per-sort exponentials: _map_edges, read sortwise.  Each exponential
+    is asked for first (cached) as the certification, which raises for
+    arguments that are not base models."""
     Xs = [X[s] for s in sorts.sorts]
     Ys = [Y[s] for s in sorts.sorts]
-    exps = [exponential(A, B, base) for A, B in zip(Xs, Ys)]
+    for A, B in zip(Xs, Ys):
+        exponential(A, B, base)
     flat: list = []
     _sortwise_search([[A] for A in Xs], Ys, funcs, flat)
     cuts = list(itertools.accumulate([0] + [len(A.carrier) for A in Xs]))
     spans = list(zip(cuts, cuts[1:]))
     fams = [tuple([image[i:j] for i, j in spans]) for image in flat]
-    return _product_on(exps, base.signature, fams)
+    return FinStructure(base.signature, tuple(fams), frozenset(_map_edges(Xs, Ys, flat, fams)))
 
 
 def _var_index(X: Mapping[str, FinStructure], sorts: SortSet) -> dict[str, dict]:

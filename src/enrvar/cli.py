@@ -402,7 +402,7 @@ def cmd_enumerate(args) -> int:
         for nm in (x, y):
             if nm not in tf.models:
                 raise DslError(f"no model named {nm!r} in the file")
-        morphs = enumerate_morphisms(tf.models[x], tf.models[y])
+        morphs = enumerate_morphisms(tf.models[x], tf.models[y], Budget(args.budget))
         payload = {
             "schema": "enrvar/enumerate@1",
             "count": len(morphs),

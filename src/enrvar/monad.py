@@ -226,9 +226,6 @@ def check_relative_monad(M: RelMonadData) -> MonadReport:
             for k in ks
         }
         image = _image(star, dom.carrier, cod)
-        if image is None:
-            v.append(f"extension image leaves the hom family for {J.label()}->{K.label()}")
-            continue
         for rel, ar in M.base.signature.symbols:
             if not _preserves(dom, cod, rel, [image] * ar):
                 v.append(f"k -> k* breaks a {rel} edge between maps {J.label()}->T{K.label()}")

@@ -15,6 +15,8 @@ from functools import cached_property, lru_cache
 from types import SimpleNamespace
 from typing import Hashable, Iterable, Mapping, NamedTuple
 
+from .budget import Budget, ensure_budget
+
 Elem = Hashable
 Edge = tuple  # (relation name, tuple of element ids)
 
@@ -562,46 +564,6 @@ def pairing(fs: list[Mapping], Z: FinStructure) -> dict:
     return {z: tuple(f[z] for f in fs) for z in Z.carrier}
 
 
-def _product_on(family: list[FinStructure], signature: RelSignature, carrier: list) -> FinStructure:
-    """The substructure of product(family, signature) on carrier, a list of
-    its elements, without building the product: a tuple of elements is an
-    edge iff its components are one in every factor.  For binary R a set of
-    elements is a bit mask over carrier, and the row of p is the AND, over
-    the factors, of the elements whose component is an R-successor of p's;
-    any other R tests every tuple of elements."""
-    n = len(carrier)
-    comp = [[F.index[e[i]] for e in carrier] for i, F in enumerate(family)]
-    at = []  # per factor: component index -> the elements with that component
-    for cs in comp:
-        masks: dict = {}
-        for p, c in enumerate(cs):
-            masks[c] = masks.get(c, 0) | 1 << p
-        at.append(masks)
-    edges: list = []
-    for rel, ar in signature.symbols:
-        if ar != 2:
-            edges.extend(
-                (rel, t)
-                for t in itertools.product(carrier, repeat=ar)
-                if all((rel, tuple([e[i] for e in t])) in F.edges for i, F in enumerate(family))
-            )
-            continue
-        row = [(1 << n) - 1] * n
-        for F, cs, masks in zip(family, comp, at):
-            succ = F.rows[rel][0]
-            # the masks are disjoint, so their sum is their union
-            after = {c: sum(m for d, m in masks.items() if succ[c] >> d & 1) for c in masks}
-            for p, c in enumerate(cs):
-                row[p] &= after[c]
-        edges.extend(
-            (rel, (x, y))
-            for p, x in enumerate(carrier)
-            for q, y in enumerate(carrier)
-            if row[p] >> q & 1
-        )
-    return FinStructure(signature, tuple(carrier), frozenset(edges))
-
-
 def relabel(X: FinStructure, mapping: Mapping) -> FinStructure:
     """Rename carrier elements along an injective mapping."""
     carrier = tuple(mapping[x] for x in X.carrier)
@@ -829,13 +791,16 @@ def _constrain(X: FinStructure, Y, base: int, off: int,
 
 def _sortwise_search(Xs: list, Ys: list, funcs, out: list | None = None,
                      tests=(), budget=None) -> int:
-    """_search over the families of morphisms Xs[s] -> Ys[s], one per sort,
-    where each Xs[s] is a non-empty list of structures that stands for their
-    product, which is not built (see _product_view).  The variables are the
-    elements of the product Xs[0] in carrier order, then those of Xs[1], and
-    so on; the values are the carriers of the Ys in one list, each sort at
-    its own bit offset.  Solutions come out as flat image tuples, in
-    lexicographic order.  The empty family has the one empty solution.
+    """The one search entry for hom-sets (Hom(X, Y) is [[X]], [Y]): _search
+    over the families of morphisms Xs[s] -> Ys[s], one per sort, where each
+    Xs[s] is a non-empty list of structures that stands for their product,
+    which is not built (see _product_view).  The variables are the elements
+    of the product Xs[0] in carrier order, then those of Xs[1], and so on;
+    the values are the carriers of the Ys in one list, each sort at its own
+    bit offset.  The blocks are read in one pass, each one's signature
+    checked as it is read.  Solutions come out as flat image tuples, in
+    lexicographic order, as _map_edges reads them.  The empty family has
+    the one empty solution.
 
     Each (k, test) in tests is called on the partial image once variable k
     is assigned, ahead of the tests that the morphism and functional
@@ -848,12 +813,27 @@ def _sortwise_search(Xs: list, Ys: list, funcs, out: list | None = None,
     unary one links its argument to r by a row of fn (a reverse row when r
     comes first), or narrows r to the fixed points of fn when the argument
     is r itself; a wider one is a test at its last variable."""
-    _same_signature(*itertools.chain(*Xs), *Ys)
-    products = [_product_view(X) for X in Xs]
-    n = sum([len(P.index) for P in products])
-    fwd: list[list] = [[] for _ in range(n)]
+    doms: list = []
+    fwd: list = []
+    values: list = []
     deep: dict = {}
-    checks: list[list] = [[] for _ in range(n)]
+    seg: list = []  # per variable: its sort's bit offset and target
+    ok = True
+    for X, Y in zip(Xs, Ys):
+        _same_signature(Ys[0], Y, *X)
+        P = _product_view(X)
+        base, off = len(doms), len(values)
+        doms += [((1 << len(Y.carrier)) - 1) << off] * len(P.index)
+        fwd += [[] for _ in P.index]
+        values += Y.carrier
+        ok = ok and _constrain(P, Y, base, off, doms, fwd, deep)
+        if funcs:
+            seg += [(off, Y)] * len(P.index)
+    if not ok:
+        return 0
+    if not (tests or funcs or budget is not None):
+        return _search(values, doms, fwd, [()] * len(doms), out, deep)
+    checks: list[list] = [[] for _ in doms]
     if budget is not None:
         def charge(image) -> bool:
             budget.charge()
@@ -863,17 +843,6 @@ def _sortwise_search(Xs: list, Ys: list, funcs, out: list | None = None,
             c.append(charge)
     for k, test in tests:
         checks[k].append(test)
-    doms: list = []
-    values: list = []
-    seg: list = []  # per variable: its sort's bit offset and target
-    for P, Y in zip(products, Ys):
-        base, off = len(doms), len(values)
-        doms += [((1 << len(Y.carrier)) - 1) << off] * len(P.index)
-        values += Y.carrier
-        if not _constrain(P, Y, base, off, doms, fwd, deep):
-            return 0
-        if funcs:
-            seg += [(off, Y)] * len(P.index)
     for fn, entries in funcs:
         imgs: dict = {}  # by argument and result bit offsets: fn's image index per argument
         for args, r in entries:
@@ -902,23 +871,11 @@ def _sortwise_search(Xs: list, Ys: list, funcs, out: list | None = None,
     return _search(values, doms, fwd, checks, out, deep)
 
 
-def _morphism_search(X: FinStructure, Y: FinStructure, out: list | None = None) -> int:
-    """The morphisms X -> Y: the one-sort case of _sortwise_search, without
-    its bookkeeping of offsets and functional constraints."""
-    _same_signature(X, Y)
-    n = len(X.carrier)
-    doms = [(1 << len(Y.carrier)) - 1] * n
-    fwd: list[list] = [[] for _ in range(n)]
-    deep: dict = {}
-    if not _constrain(X, Y, 0, 0, doms, fwd, deep):
-        return 0
-    return _search(Y.carrier, doms, fwd, [()] * n, out, deep)
-
-
-def enumerate_morphisms(X: FinStructure, Y: FinStructure) -> list[dict]:
-    """All morphisms X -> Y, lexicographic over carrier order."""
+def enumerate_morphisms(X: FinStructure, Y: FinStructure, budget: Budget | int | None = None) -> list[dict]:
+    """All morphisms X -> Y, lexicographic over carrier order, by the one
+    hom-set search; a budget, when given, is charged per assignment."""
     images: list = []
-    _morphism_search(X, Y, images)
+    _sortwise_search([[X]], [Y], (), images, budget=budget if budget is None else ensure_budget(budget))
     xs = X.carrier
     return [dict(zip(xs, image)) for image in images]
 
@@ -926,58 +883,61 @@ def enumerate_morphisms(X: FinStructure, Y: FinStructure) -> list[dict]:
 def count_morphisms(X: FinStructure, Y: FinStructure) -> int:
     """|Hom(X, Y)|, counted by the search of enumerate_morphisms without
     building the maps."""
-    return _morphism_search(X, Y)
+    return _sortwise_search([[X]], [Y], ())
 
 
-def _exponential_edges(X: FinStructure, Y: FinStructure, homs: list) -> list:
-    """The edges of [X, Y] over the hom-set homs (image tuples), in
-    lexicographic order per relation, by _search over homs.  A set of homs
-    is a bit mask; eq[b][y] holds the g with g[b] = y.  For binary R the row
-    of f is the AND, over the R-edges (a, b) of X, of the g with g[b] in
-    succ_Y(f[a]); a wider R tests every R-edge of X at the last position."""
-    yidx = Y.index
-    hidx = [[yidx[y] for y in f] for f in homs]
-    full = (1 << len(homs)) - 1
-    m = len(Y.carrier)
-    eq = [[0] * m for _ in X.carrier]
-    for p, f in enumerate(hidx):
-        for b, y in enumerate(f):
-            eq[b][y] |= 1 << p
+def _map_edges(Xs: list, Ys: list, maps: list, ids: list) -> list:
+    """The one edge rule of [X, Y] and of every hom structure: the edges of
+    the structure on ids whose element ids[p] is the sortwise morphism
+    maps[p], a flat image tuple over the carriers of Xs into Ys.  (rel,
+    (ids[p_1], ..., ids[p_ar])) is an edge iff, at every sort s, each
+    rel-edge (a_1, ..., a_ar) of Xs[s] goes to the rel-edge (p_1(a_1), ...,
+    p_ar(a_ar)) of Ys[s].  A unary edge always holds between morphisms.  For
+    binary R a set of maps is a bit mask, and the row of p ANDs, over the
+    R-edges (a, b), the maps whose value at b is an R-successor of p's at a;
+    any other R tests each tuple of maps by _preserves.  Edges come out per
+    relation in lexicographic order of the maps."""
+    n = len(maps)
+    cuts = list(itertools.accumulate([0] + [len(X.carrier) for X in Xs]))
+    # per sort: source, target and each map's image as the target's indices
+    sorts = [(X, Y, [[Y.index[y] for y in f[i:j]] for f in maps]) for X, Y, i, j in zip(Xs, Ys, cuts, cuts[1:])]
     edges: list = []
-    for rel, ar in X.signature.symbols:
-        xs = [tuple(X.index[x] for x in t) for t in X.edges_by_rel[rel]]
-        fams: list = []
-        if ar == 0:
-            if not xs or (rel, ()) in Y.edges:
-                fams.append(())
-        elif ar == 1:
-            # a morphism maps every unary edge of X to one of Y
-            fams.extend((f,) for f in homs)
+    for rel, ar in Xs[0].signature.symbols:
+        if ar == 1:
+            edges += [(rel, (g,)) for g in ids]
         elif ar == 2:
-            succ = Y.rows[rel][0]
-            row = [full] * len(homs)
-            for a, b in xs:
-                # the g with g[b] in succ[y], per y; the eq[b][y] are disjoint
-                after = [sum(eq[b][y] for y in range(m) if s >> y & 1) for s in succ]
-                for p, f in enumerate(hidx):
-                    row[p] &= after[f[a]]
-            _search(homs, [full, full], [[(1, row)], []], [[], []], fams)
+            row = [(1 << n) - 1] * n
+            for X, Y, images in sorts:
+                succ, idx = Y.rows[rel][0], X.index
+                after: dict = {}  # per b: per y, the maps whose value at b is in succ[y]
+                for a, b in X.edges_by_rel[rel]:
+                    i, j = idx[a], idx[b]
+                    if j not in after:
+                        eq = [0] * len(succ)  # per y, the maps with value y at b; disjoint
+                        for p, f in enumerate(images):
+                            eq[f[j]] |= 1 << p
+                        after[j] = [sum([eq[y] for y in _bits(s)]) for s in succ]
+                    aj = after[j]
+                    for p, f in enumerate(images):
+                        row[p] &= aj[f[i]]
+            edges += [(rel, (ids[p], ids[q])) for p in range(n) for q in _bits(row[p])]
         else:
-            tests = [
-                lambda image, t=t, rel=rel: (rel, tuple([f[i] for f, i in zip(image, t)])) in Y.edges
-                for t in xs
+            edges += [
+                (rel, tuple([ids[p] for p in t]))
+                for t in itertools.product(range(n), repeat=ar)
+                if all(_preserves(X, Y, rel, [images[p] for p in t]) for X, Y, images in sorts)
             ]
-            _search(homs, [full] * ar, [[] for _ in range(ar)], [[]] * (ar - 1) + [tests], fams)
-        edges.extend((rel, fs) for fs in fams)
     return edges
 
 
 @lru_cache(maxsize=4096)
 def exponential(X: FinStructure, Y: FinStructure, T: HornTheory) -> FinStructure:
     """The certified exponential [X, Y] of two T-models, built once per
-    (X, Y, T) and cached: carrier is the hom-set (image tuples in enumeration
-    order); (rel, fs) is an edge iff fs maps every rel-edge of X to a rel-edge
-    of Y componentwise: the one edge rule, whose test is _preserves.
+    (X, Y, T) and cached: carrier is the hom-set, found by the one hom-set
+    search (_sortwise_search), as image tuples in enumeration order; (rel,
+    fs) is an edge iff fs maps every rel-edge of X to a rel-edge of Y
+    componentwise: the one edge rule of every structure of maps, built by
+    _map_edges as the one-sort case.
 
     By this edge rule g : Z -> [X, Y] preserves edges iff its transpose
     does, so curry and uncurry check only that side, and certification is
@@ -987,8 +947,8 @@ def exponential(X: FinStructure, Y: FinStructure, T: HornTheory) -> FinStructure
     if not is_model(X, T) or not is_model(Y, T):
         raise StructureError("exponential arguments must be models of the theory")
     carrier: list = []
-    _morphism_search(X, Y, carrier)
-    E = FinStructure(sig, tuple(carrier), frozenset(_exponential_edges(X, Y, carrier)))
+    _sortwise_search([[X]], [Y], (), carrier)
+    E = FinStructure(sig, tuple(carrier), frozenset(_map_edges([X], [Y], carrier, carrier)))
     if not is_model(E, T):
         raise NotClosed(
             "candidate exponential is not a model of the theory; "

@@ -264,6 +264,38 @@ class TestCommands:
         assert code == 0
         assert out.startswith("6 morphisms")
 
+    def test_enumerate_morphisms_honours_the_budget(self, tmp_path, capsys, monkeypatch):
+        # 11^11 maps: without the budget the search would not end
+        big = tmp_path / "big.struct"
+        big.write_text(
+            "model big : set {\n  elems [" + ", ".join(f"a{i}" for i in range(11)) + "]\n  reflexive\n}\n"
+        )
+        monkeypatch.setenv("ENRVAR_BUDGET", "1000")
+        code, out, err = run(capsys, "enumerate", str(big), "--morphisms", "big", "big", "--budget", "1000")
+        assert code == 1
+        assert "enumeration budget of 1000 exceeded" in err
+        assert "Traceback" not in err
+
+    def test_enumerate_morphisms_malformed_budget_variable_is_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("ENRVAR_BUDGET", "abc")
+        code, _, err = run(
+            capsys,
+            "enumerate", str(FIXTURES / "structures.struct"),
+            "--morphisms", "chain2", "chain3",
+        )
+        assert code == 2
+        assert "ENRVAR_BUDGET='abc' is not an integer" in err
+        assert "Traceback" not in err
+
+    def test_enumerate_morphisms_within_the_budget_is_unchanged(self, capsys):
+        argv = ["enumerate", str(FIXTURES / "structures.struct"), "--morphisms", "chain2", "chain3"]
+        plain = run(capsys, *argv)
+        assert plain[0] == 0 and plain[1].startswith("6 morphisms")
+        # one unit per assignment: 3 for the first element of chain2, then
+        # 3 + 2 + 1 for the second under each of them
+        assert run(capsys, *argv, "--budget", "9") == plain
+        assert run(capsys, *argv, "--budget", "8") == (1, "", "error: enumeration budget of 8 exceeded\n")
+
     def test_enumerate_algebras(self, tmp_path, capsys):
         combined = tmp_path / "combined.thy"
         combined.write_text(

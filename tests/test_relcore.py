@@ -312,19 +312,6 @@ class TestProduct:
         assert len(paired) == len(fs) * len(gs)
         assert len(enumerate_morphisms(Z, P)) == len(paired)
 
-    def test_restriction_agrees_with_the_filtered_product(self):
-        # _product_on against product() cut down to a subset of its carrier,
-        # over every arity (nullary and ternary edges included)
-        rng = random.Random(11)
-        for _ in range(300):
-            family = [random_structure(rng, _MIXED_SIG, 2) for _ in range(rng.randint(1, 3))]
-            P = product(family)
-            keep = [x for x in P.carrier if rng.random() < 0.6]
-            kept = set(keep)
-            R = relcore._product_on(family, _MIXED_SIG, keep)
-            assert R.carrier == tuple(keep)
-            assert R.edges == {e for e in P.edges if kept.issuperset(e[1])}
-
 
 class TestSameSignature:
     def test_equal_signatures_held_by_distinct_objects_agree(self, chain2):
@@ -436,27 +423,50 @@ class TestExponential:
                     if exp_edge_holds(X, Y, rel, fs)
                 }
 
-    def test_edge_search_agrees_with_brute_filter_off_models(self):
-        # in a model every nullary edge is present, so the nullary and
-        # ternary branches of the edge search are also run on structures over
-        # _MIXED_SIG on <= 2 elements, into targets dense enough for several
-        # morphisms
+    def test_map_edges_agree_with_exp_edge_holds(self):
+        # _map_edges against exp_edge_holds at every sort, on 1-3 sorts of
+        # structures over _MIXED_SIG on <= 2 elements (nullary, unary, binary
+        # and ternary edges), each map a random pick of the sortwise
+        # brute_morphisms; the targets are random, then dense enough for
+        # several morphisms per sort
         rng = random.Random(7)
-        for _ in range(300):
-            X = random_structure(rng, _MIXED_SIG, 2)
-            Y = FinStructure(_MIXED_SIG, ("y0", "y1"), frozenset(
-                (rel, t)
-                for rel, ar in _MIXED_SIG.symbols
-                for t in itertools.product(("y0", "y1"), repeat=ar)
-                if rng.random() < 0.8
-            ))
-            homs = [tuple(f[x] for x in X.carrier) for f in brute_morphisms(X, Y)]
-            assert relcore._exponential_edges(X, Y, homs) == [
-                (rel, fs)
-                for rel, ar in _MIXED_SIG.symbols
-                for fs in itertools.product(homs, repeat=ar)
-                if exp_edge_holds(X, Y, rel, fs)
-            ]
+        held, failed = {}, {}
+        for dense in (False, True):
+            for _ in range(300):
+                Xs, Ys = [], []
+                for _ in range(rng.randint(1, 3)):
+                    Xs.append(random_structure(rng, _MIXED_SIG, 2))
+                    Ys.append(FinStructure(_MIXED_SIG, ("y0", "y1"), frozenset(
+                        (rel, t)
+                        for rel, ar in _MIXED_SIG.symbols
+                        for t in itertools.product(("y0", "y1"), repeat=ar)
+                        if rng.random() < 0.8
+                    )) if dense else random_structure(rng, _MIXED_SIG, 2))
+                homs = [
+                    [tuple(f[x] for x in X.carrier) for f in brute_morphisms(X, Y)]
+                    for X, Y in zip(Xs, Ys)
+                ]
+                fams = list(itertools.product(*homs))
+                fams = [fams[i] for i in sorted(rng.sample(range(len(fams)), min(len(fams), rng.randint(0, 6))))]
+                maps = [sum(fam, ()) for fam in fams]
+                ids = [f"m{p}" for p in range(len(maps))]
+                expected = []
+                for rel, ar in _MIXED_SIG.symbols:
+                    for t in itertools.product(range(len(maps)), repeat=ar):
+                        holds = all(
+                            exp_edge_holds(X, Y, rel, [fams[p][s] for p in t])
+                            for s, (X, Y) in enumerate(zip(Xs, Ys))
+                        )
+                        tally = held if holds else failed
+                        tally[ar] = tally.get(ar, 0) + 1
+                        if holds:
+                            expected.append((rel, tuple([ids[p] for p in t])))
+                assert relcore._map_edges(Xs, Ys, maps, ids) == expected
+        # every arity is seen holding and failing, unary edges aside, which
+        # always hold between morphisms (a nullary one fails only where
+        # there are none)
+        assert all(held.get(ar, 0) > 200 for ar in range(4))
+        assert all(failed.get(ar, 0) > 20 for ar in (0, 2, 3)) and 1 not in failed
 
     def test_row_test_agrees_with_exp_edge_holds(self):
         # the families of homs between models on <= 2 elements, then the
