@@ -375,17 +375,14 @@ def satisfies_equation(A: Algebra, eq: Equation) -> bool:
 
 
 def satisfies_relation(A: Algebra, atom: RelationAtom) -> bool:
-    """Edge test in the internal hom [power, carrier_S], evaluated without
-    materializing the exponential or the power: the relation holds iff every
-    matching edge of the context power (context_edges) maps into an edge of
-    the output carrier."""
+    """Edge test in the internal hom [power, carrier_S]: the relation holds
+    iff the argument tables, read as maps from the context power to the
+    output carrier, send every matching edge of the power to an edge of the
+    carrier, by the one edge rule (_preserves)."""
+    P = context_power(A.carrier, atom.context)
     cod = A.carrier[atom.sort]
-    tables = [interpret_term(A, atom.context, arg) for arg in atom.args]
-    for dtuple in context_edges(A.carrier, atom.context, atom.relation, len(atom.args)):
-        image = tuple(tables[i][d] for i, d in enumerate(dtuple))
-        if (atom.relation, image) not in cod.edges:
-            return False
-    return True
+    images = [_image(interpret_term(A, atom.context, arg), P.carrier, cod) for arg in atom.args]
+    return None not in images and _preserves(P, cod, atom.relation, images)
 
 
 def satisfies_theory(A: Algebra, T: Theory) -> bool:

@@ -32,6 +32,7 @@ from .relcore import (
     StructureError,
     builtin_theory,
     chase,
+    count_morphisms,
     enumerate_morphisms,
     exponential,
     is_model,
@@ -138,6 +139,9 @@ def cmd_exp(args) -> int:
         if nm not in tf.models:
             raise DslError(f"no model named {nm!r} in the file")
     T = _resolve_base(args.theory, tf, args.x)
+    # the cached exponential takes no budget: its hom-set search is counted
+    # under the budget first
+    count_morphisms(tf.models[args.x], tf.models[args.y], Budget(args.budget))
     try:
         E = exponential(tf.models[args.x], tf.models[args.y], T)
     except NotClosed as e:
@@ -476,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("x")
     sp.add_argument("y")
-    common(sp, theory=True)
+    common(sp, theory=True, budget=True)
     sp.set_defaults(fn=cmd_exp)
 
     sp = sub.add_parser("check-algebra", help="validate algebra blocks")

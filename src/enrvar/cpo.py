@@ -79,13 +79,6 @@ class CpoPresentation:
                 raise StructureError("cover sets must be chains in the preorder")
 
 
-def poset_as_presentation(X: FinStructure) -> CpoPresentation:
-    """Regard a finite poset as a presentation: p <| U iff U is a chain and
-    p is below its greatest element.  Covers stay implicit; cover_holds
-    answers membership semantically."""
-    return CpoPresentation(X, ())
-
-
 def cover_holds(P: CpoPresentation | FinStructure, p, chain: Iterable) -> bool:
     """Is (p, chain) a cover?  Explicit presentations answer by membership;
     posets regarded as presentations answer semantically."""

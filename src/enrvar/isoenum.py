@@ -53,12 +53,7 @@ def _enumerate(sig: RelSignature, size: int, axioms: tuple, up_to_iso: bool,
     cells = [slot for digit in digits for slot in digit]
     at = {slot: k for k, slot in enumerate(cells)}
     doms = [0b11] * len(cells)
-
-    def charge(image) -> bool:
-        budget.charge()
-        return True
-
-    checks: list[list] = [[charge] for _ in cells]
+    checks: list[list] = [[] for _ in cells]
     by_last: list[list] = [[] for _ in cells]  # (conclusion cells, premise cells)
     for ax in axioms:
         names = sorted({v for _, tup in ax.premises for v in tup} | set(ax.conclusion[1]))
@@ -115,7 +110,7 @@ def _enumerate(sig: RelSignature, size: int, axioms: tuple, up_to_iso: bool,
             checks[(t + 1) * width - 1].append(least)
 
     images: list = []
-    _search((0, 1), doms, [[] for _ in cells], checks, images)
+    _search((0, 1), doms, [[] for _ in cells], checks, images, budget=budget)
     if lattice is not None:
         images.sort(key=lambda image: [rank[image[a:a + width]] for a in range(0, len(image), width)])
     carrier = tuple(f"x{i}" for i in range(size))

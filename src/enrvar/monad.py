@@ -723,107 +723,71 @@ def monad_from_theory(
 ) -> RelMonadData:
     """Finite truncation induced by free algebras: value objects are free
     carriers, units the generators, extensions the evaluation of class
-    representatives."""
+    representatives; every element is named by its term's printed form."""
     sig = theory_parts(T)[0]
+    sorts = sig.sorts.sorts
     arities = tuple(arities)
-    frees: dict[Arity, FreeAlgebraResult] = {}
+    frees: dict[Arity, Algebra] = {}
+    obj: dict[Arity, dict[str, FinStructure]] = {}
+    unit: dict[Arity, KRep] = {}
     for J in arities:
         res = free_algebra(T, J, depth_bound, size_bound)
         if not res.saturated:
             raise StructureError(
                 f"free algebra for arity {J.label()} does not saturate at depth {depth_bound}"
             )
-        frees[J] = res
-    obj = {J: frees[J].algebra.carrier for J in arities}
-    unit = {J: frees[J].generators for J in arities}
+        frees[J] = res.algebra
+        carrier = res.algebra.carrier
+        obj[J] = {s: relabel(carrier[s], {t: str(t) for t in carrier[s].carrier}) for s in sorts}
+        unit[J] = tuple(tuple(map(str, block)) for block in res.generators)
     ext: dict[tuple[Arity, Arity, KRep], dict[str, dict]] = {}
     for J, K in itertools.product(arities, repeat=2):
         ctxJ = canonical_context(J)
-        for k in all_maps_into(J, obj[K], sig.sorts):
+        terms = [frees[J].carrier[s].carrier for s in sorts]
+        for k in all_maps_into(J, frees[K].carrier, sig.sorts):
             flat = flatten_map(k)
-            table = {
-                s: {
-                    t: eval_term(frees[K].algebra, ctxJ, t, flat)
-                    for t in obj[J][s].carrier
-                }
-                for s in sig.sorts.sorts
+            ext[(J, K, tuple(tuple(map(str, block)) for block in k))] = {
+                s: {str(t): str(eval_term(frees[K], ctxJ, t, flat)) for t in ts}
+                for s, ts in zip(sorts, terms)
             }
-            ext[(J, K, k)] = table
-    # printable string ids for the value objects
-    rename = {
-        J: {s: {t: str(t) for t in obj[J][s].carrier} for s in sig.sorts.sorts}
-        for J in arities
-    }
-    sorts = sig.sorts.sorts
-    obj2 = {
-        J: {s: relabel(obj[J][s], rename[J][s]) for s in sorts} for J in arities
-    }
-    unit2 = {
-        J: tuple(
-            tuple(rename[J][s][x] for x in block)
-            for s, block in zip(sorts, unit[J])
-        )
-        for J in arities
-    }
-    ext2: dict[tuple[Arity, Arity, KRep], dict[str, dict]] = {}
-    for (J, K, k), table in ext.items():
-        k2 = tuple(
-            tuple(rename[K][s][x] for x in block) for s, block in zip(sorts, k)
-        )
-        ext2[(J, K, k2)] = {
-            s: {rename[J][s][x]: rename[K][s][v] for x, v in table[s].items()}
-            for s in sorts
-        }
-    return RelMonadData(
-        sig.base, sig.sorts, arities, obj2, unit2, ext2, name=name or "derived"
-    )
+    return RelMonadData(sig.base, sig.sorts, arities, obj, unit, ext, name=name or "derived")
 
 
 # -- builtin truncations -----------------------------------------------------------
 
-def identity_truncation(base: HornTheory, sorts: SortSet, arities: Iterable[Arity]) -> RelMonadData:
-    """TJ = J, units are identities, extension is application."""
+def _pointed_truncation(
+    base: HornTheory, sorts: SortSet, arities: Iterable[Arity], name: str, error: str | None = None
+) -> RelMonadData:
+    """TJ = J, plus one error point per sort when error is given: the unit
+    is the generators, and the extension of k sends them along k and the
+    error point to itself."""
     arities = tuple(arities)
-    obj = {J: arity_object(base, sorts, J) for J in arities}
-    unit = {
-        J: tuple(tuple(obj[J][s].carrier) for s in sorts.sorts) for J in arities
-    }
+    obj: dict[Arity, dict[str, FinStructure]] = {}
+    unit: dict[Arity, KRep] = {}
+    for J in arities:
+        jobj = arity_object(base, sorts, J)
+        unit[J] = tuple(jobj[s].carrier for s in sorts.sorts)
+        obj[J] = jobj if error is None else {
+            s: chase(FinStructure(base.signature, X.carrier + (error,), frozenset()), base).model
+            for s, X in jobj.items()
+        }
+    point = {} if error is None else {error: error}
     ext: dict[tuple[Arity, Arity, KRep], dict[str, dict]] = {}
     for J, K in itertools.product(arities, repeat=2):
         for k in all_maps_into(J, obj[K], sorts):
             ext[(J, K, k)] = {
-                s: dict(zip(obj[J][s].carrier, k[sorts.position[s]]))
-                for s in sorts.sorts
+                s: {**dict(zip(gens, block)), **point} for s, gens, block in zip(sorts.sorts, unit[J], k)
             }
-    return RelMonadData(base, sorts, arities, obj, unit, ext, name="identity")
+    return RelMonadData(base, sorts, arities, obj, unit, ext, name=name)
+
+
+def identity_truncation(base: HornTheory, sorts: SortSet, arities: Iterable[Arity]) -> RelMonadData:
+    """TJ = J, units are identities, extension is application."""
+    return _pointed_truncation(base, sorts, arities, "identity")
 
 
 def exception_truncation(
     base: HornTheory, sorts: SortSet, arities: Iterable[Arity], error: str = "e"
 ) -> RelMonadData:
     """TJ = J plus one error point per sort; extension keeps the error."""
-    arities = tuple(arities)
-    obj: dict[Arity, dict[str, FinStructure]] = {}
-    for J in arities:
-        jo = arity_object(base, sorts, J)
-        out = {}
-        for s in sorts.sorts:
-            bare = FinStructure(
-                base.signature, jo[s].carrier + (error,), frozenset()
-            )
-            out[s] = chase(bare, base).model
-        obj[J] = out
-    unit = {
-        J: tuple(tuple(obj[J][s].carrier[:-1]) for s in sorts.sorts)
-        for J in arities
-    }
-    ext = {}
-    for J, K in itertools.product(arities, repeat=2):
-        for k in all_maps_into(J, obj[K], sorts):
-            table = {}
-            for s in sorts.sorts:
-                block = dict(zip(obj[J][s].carrier[:-1], k[sorts.position[s]]))
-                block[error] = error
-                table[s] = block
-            ext[(J, K, k)] = table
-    return RelMonadData(base, sorts, arities, obj, unit, ext, name="exception")
+    return _pointed_truncation(base, sorts, arities, "exception", error)

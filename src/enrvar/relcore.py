@@ -367,7 +367,7 @@ def _fire(join: _Join, Y, alive: int, record, seed=None, tries=None) -> bool:
     held = Y.rows.get(crel)  # None for an equality
     last = n - 1
     if not cps:
-        return not held and _search(Y.carrier, doms, fwd, [()] * n, deep=deep) > 0 and record(crel, (), 1)
+        return not held and _search(Y.carrier, doms, fwd, deep=deep) > 0 and record(crel, (), 1)
     if len(cps) == 1:
         doms[last] &= ~held
     elif len(cps) == 2 and held is not None:
@@ -385,7 +385,7 @@ def _fire(join: _Join, Y, alive: int, record, seed=None, tries=None) -> bool:
                     mask ^= 1 << v
         return mask and record(crel, tuple([None if p == last else image[p] for p in cps]), mask)
 
-    return bool(_search(Y.carrier, doms, fwd, [()] * n, deep=deep, final=final))
+    return bool(_search(Y.carrier, doms, fwd, deep=deep, final=final))
 
 
 def satisfies_formula(X: FinStructure, phi: HornFormula) -> bool:
@@ -575,8 +575,8 @@ def relabel(X: FinStructure, mapping: Mapping) -> FinStructure:
 
 # -- search --------------------------------------------------------------------
 
-def _search(values, doms: list, fwd: list, checks: list, out: list | None = None,
-            deep: dict | None = None, final=None) -> int:
+def _search(values, doms: list, fwd: list, checks: list | None = None, out: list | None = None,
+            deep: dict | None = None, final=None, budget: Budget | None = None) -> int:
     """Forward-checking search over variables 0..n-1, after Mackworth,
     "Consistency in Networks of Relations" (AIJ 1977).
 
@@ -585,12 +585,15 @@ def _search(values, doms: list, fwd: list, checks: list, out: list | None = None
     solutions come out lexicographically.  Assigning k to bit v ANDs rows[v]
     into the domain of each later variable j, for every (j, rows) in fwd[k],
     and the trie levels in deep[k] after them (see _deepen), and backtracks
-    when a domain becomes empty.  Each test in checks[k] is called on the
-    partial image (the list of assigned values) once k is assigned.  Returns
-    the number of solutions and appends each, as a tuple of values, to out
-    when given.  With final, the last variable is not enumerated: final is
-    called on the partial image and its narrowed domain instead, and a true
-    result counts as the one solution and stops the search."""
+    when a domain becomes empty.  Each test in checks[k], when checks is
+    given, is called on the partial image (the list of assigned values) once
+    k is assigned.  A budget, when given, is charged one unit per
+    assignment, ahead of its tests: this is the one place where a search
+    charges.  Returns the number of solutions and appends each, as a tuple
+    of values, to out when given.  With final, the last variable is not
+    enumerated: final is called on the partial image and its narrowed
+    domain instead, and a true result counts as the one solution and stops
+    the search."""
     n = len(doms)
     if not all(doms):
         return 0
@@ -611,13 +614,15 @@ def _search(values, doms: list, fwd: list, checks: list, out: list | None = None
                 total = 1
                 return True
             return False
-        tests, links = checks[k], fwd[k]
+        tests, links = checks[k] if checks else None, fwd[k]
         levels = deep.get(k) if deep else None
         while d:
             low = d & -d
             d ^= low
             v = low.bit_length() - 1
             image[k] = values[v]
+            if budget is not None:
+                budget.charge()
             if tests and not all(t(image) for t in tests):
                 continue
             if k == last:
@@ -804,8 +809,8 @@ def _sortwise_search(Xs: list, Ys: list, funcs, out: list | None = None,
 
     Each (k, test) in tests is called on the partial image once variable k
     is assigned, ahead of the tests that the morphism and functional
-    constraints place at k.  A budget, when given, is charged one unit per
-    variable assignment, ahead of them all.
+    constraints place at k.  A budget, when given, is charged by _search,
+    one unit per variable assignment, ahead of them all.
 
     Each (fn, entries) in funcs is a functional constraint: for every (args,
     r) in entries, the image of variable r equals fn of the tuple of images
@@ -831,16 +836,7 @@ def _sortwise_search(Xs: list, Ys: list, funcs, out: list | None = None,
             seg += [(off, Y)] * len(P.index)
     if not ok:
         return 0
-    if not (tests or funcs or budget is not None):
-        return _search(values, doms, fwd, [()] * len(doms), out, deep)
-    checks: list[list] = [[] for _ in doms]
-    if budget is not None:
-        def charge(image) -> bool:
-            budget.charge()
-            return True
-
-        for c in checks:
-            c.append(charge)
+    checks: list[list] | None = [[] for _ in doms] if tests or funcs else None
     for k, test in tests:
         checks[k].append(test)
     for fn, entries in funcs:
@@ -868,7 +864,7 @@ def _sortwise_search(Xs: list, Ys: list, funcs, out: list | None = None,
                 )
             else:
                 doms[r] &= 1 << (out_off + Yr.index[fn(())])
-    return _search(values, doms, fwd, checks, out, deep)
+    return _search(values, doms, fwd, checks, out, deep, budget=budget)
 
 
 def enumerate_morphisms(X: FinStructure, Y: FinStructure, budget: Budget | int | None = None) -> list[dict]:
@@ -880,10 +876,10 @@ def enumerate_morphisms(X: FinStructure, Y: FinStructure, budget: Budget | int |
     return [dict(zip(xs, image)) for image in images]
 
 
-def count_morphisms(X: FinStructure, Y: FinStructure) -> int:
+def count_morphisms(X: FinStructure, Y: FinStructure, budget: Budget | int | None = None) -> int:
     """|Hom(X, Y)|, counted by the search of enumerate_morphisms without
-    building the maps."""
-    return _sortwise_search([[X]], [Y], ())
+    building the maps; a budget, when given, is charged per assignment."""
+    return _sortwise_search([[X]], [Y], (), budget=budget if budget is None else ensure_budget(budget))
 
 
 def _map_edges(Xs: list, Ys: list, maps: list, ids: list) -> list:

@@ -164,6 +164,20 @@ def plain_satisfies_equation(tables: dict, carriers: dict, eq) -> bool:
     return True
 
 
+def plain_satisfies_relation(A, atom) -> bool:
+    """A relation atom holds iff every rel-edge of the context power, built
+    componentwise from the carriers' edges, goes under the argument terms to
+    an edge in the output carrier's edge set."""
+    rel = atom.relation
+    per_var = [[tup for r, tup in A.carrier[s].edges if r == rel] for _, s in atom.context.entries]
+    edges = A.carrier[atom.sort].edges
+    for combo in itertools.product(*per_var):
+        points = [tuple(t[i] for t in combo) for i in range(len(atom.args))]
+        if (rel, tuple(plain_eval(A.interp, arg, p) for arg, p in zip(atom.args, points))) not in edges:
+            return False
+    return True
+
+
 def plain_enumerate_algebras(ops: list, equations: list, carriers: dict) -> list[dict]:
     """ops: (symbol, input sorts tuple, output sort); raw table product with a
     final equation filter."""

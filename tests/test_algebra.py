@@ -50,7 +50,7 @@ from enrvar.syntax import (
 )
 
 from conftest import FIXTURES, poset
-from oracles import plain_enumerate_algebras
+from oracles import plain_enumerate_algebras, plain_satisfies_relation
 
 POS = builtin_theory("pos")
 SET = builtin_theory("set")
@@ -203,6 +203,33 @@ class TestSatisfaction:
         assert satisfies_relation(A, grows)
         wrong = RelationAtom(ctx, LE, (App("mul", (x, y)), y), "M")
         assert not satisfies_relation(A, wrong)
+
+    def test_relation_atoms_agree_with_the_edge_set_test(self):
+        # every algebra of the fixtures with relation laws on carriers of at
+        # most two elements, and three copies, each with one table entry
+        # redrawn
+        rng = random.Random(19)
+        verdicts = []
+        for name in ("deflationary", "inflationary", "ordered_band", "ordered_monoid", "qcat_close", "simp_cone"):
+            T = parse_theory((FIXTURES / f"{name}.thy").read_text()).theories[name]
+            sig, _, relations, _ = theory_parts(T)
+            assert relations
+            for fam in model_families(sig.base, sig.sorts, 2):
+                (X,) = fam.values()
+                for A in enumerate_algebras(T, fam):
+                    cases = [A]
+                    for _ in range(3):
+                        interp = {sym: dict(table) for sym, table in A.interp.items()}
+                        tables = [table for _, table in sorted(interp.items()) if table]
+                        if tables:
+                            table = rng.choice(tables)
+                            table[rng.choice(sorted(table))] = rng.choice(X.carrier)
+                            cases.append(Algebra(A.signature, A.carrier, interp))
+                    for B in cases:
+                        for atom in relations:
+                            verdicts.append(plain_satisfies_relation(B, atom))
+                            assert satisfies_relation(B, atom) == verdicts[-1]
+        assert verdicts.count(True) > verdicts.count(False) > 0
 
 
 class TestHomomorphisms:
@@ -481,6 +508,20 @@ class TestEnumerateAlgebras:
 
         with pytest.raises(BudgetExceeded):
             enumerate_algebras(T, {"M": chain(3)}, budget=5)
+
+    def test_budget_used_is_pinned(self):
+        # one unit per cell assignment: the semilattice fixture on the set
+        # carriers of 0 to 3 elements
+        from enrvar.budget import Budget
+
+        T = parse_theory((FIXTURES / "semilattice.thy").read_text()).theories["semilattice"]
+        used = []
+        for n in range(4):
+            bgt = Budget()
+            carrier = FinStructure(SET.signature, tuple(str(i) for i in range(n)), frozenset())
+            algebras = enumerate_algebras(T, {"A": carrier}, budget=bgt)
+            used.append((len(algebras), bgt.used))
+        assert used == [(1, 0), (1, 1), (2, 12), (9, 339)]
 
     def test_ordered_monoid_on_two_chain(self):
         sig = ordinary_signature(S, POS, [("mul", J2, "M"), ("e", J0, "M")])

@@ -296,6 +296,40 @@ class TestCommands:
         assert run(capsys, *argv, "--budget", "9") == plain
         assert run(capsys, *argv, "--budget", "8") == (1, "", "error: enumeration budget of 8 exceeded\n")
 
+    def test_exp_honours_the_budget(self, tmp_path, capsys, monkeypatch):
+        # [big, big] has 11^11 maps to search: the budget stops the count of
+        # Hom(big, big) before the exponential is built
+        big = tmp_path / "big.struct"
+        big.write_text(
+            "model big : set {\n  elems [" + ", ".join(f"a{i}" for i in range(11)) + "]\n  reflexive\n}\n"
+        )
+        argv = ["exp", str(big), "big", "big", "--theory", "set"]
+        assert run(capsys, *argv, "--budget", "1000") == (1, "", "error: enumeration budget of 1000 exceeded\n")
+        monkeypatch.setenv("ENRVAR_BUDGET", "1000")
+        assert run(capsys, *argv) == (1, "", "error: enumeration budget of 1000 exceeded\n")
+        monkeypatch.setenv("ENRVAR_BUDGET", "abc")
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "ENRVAR_BUDGET='abc' is not an integer" in err
+        assert "Traceback" not in err
+
+    def test_exp_within_the_budget_is_unchanged(self, capsys):
+        argv = ["exp", str(FIXTURES / "structures.struct"), "chain2", "chain2", "--theory", "pos"]
+        plain = run(capsys, *argv)
+        assert plain == (0, "\n".join([
+            "[chain2, chain2] over pos: 3 morphisms",
+            "  edge <=((a,a), (a,a))",
+            "  edge <=((a,a), (a,b))",
+            "  edge <=((a,a), (b,b))",
+            "  edge <=((a,b), (a,b))",
+            "  edge <=((a,b), (b,b))",
+            "  edge <=((b,b), (b,b))",
+        ]) + "\n", "")
+        # one unit per assignment: 2 for the first element of chain2, then
+        # 2 + 1 for the second under each of them
+        assert run(capsys, *argv, "--budget", "5") == plain
+        assert run(capsys, *argv, "--budget", "4") == (1, "", "error: enumeration budget of 4 exceeded\n")
+
     def test_enumerate_algebras(self, tmp_path, capsys):
         combined = tmp_path / "combined.thy"
         combined.write_text(

@@ -11,7 +11,6 @@ from enrvar.cpo import (
     cover_holds,
     free_omega_cpo,
     is_presentation_morphism,
-    poset_as_presentation,
     satisfies_chain_relation,
 )
 from enrvar.relcore import (

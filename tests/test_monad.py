@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import time
 
@@ -584,3 +585,41 @@ class TestMonadFromTheory:
             for A in enumerate_tj_algebras(M, carrier):
                 image = tj_to_algebra(M, T, A)
                 assert satisfies_theory(image, T)
+
+
+def truncation_digest(M) -> str:
+    """Every table of a truncation in order: its name, arities, value
+    objects (carriers in order, edges sorted), units and extension items."""
+    return repr((
+        M.name,
+        [J.counts for J in M.arities],
+        [[(s, X.carrier, sorted(map(repr, X.edges))) for s, X in M.obj[J].items()] for J in M.arities],
+        [M.unit[J] for J in M.arities],
+        [
+            ((J.counts, K.counts, k), [(s, list(t.items())) for s, t in table.items()])
+            for (J, K, k), table in M.ext.items()
+        ],
+    ))
+
+
+def test_truncations_are_pinned():
+    # the pointed truncations over five bases, on one and on two sorts, and
+    # the truncations of the saturating fixtures: the same tables, in the
+    # same order, under every hash seed
+    one = [({},), ({}, {"A": 1}), ({"A": 1}, {"A": 2}), ({}, {"A": 1}, {"A": 2}), ({"A": 2},)]
+    two = [({},), ({}, {"A": 1}), ({"A": 1}, {"B": 1}), ({}, {"A": 1}, {"B": 1}), ({"A": 1, "B": 1},)]
+    digests = [
+        truncation_digest(make(builtin_theory(base), sorts, [Arity.of(sorts, c) for c in counts]))
+        for make in (identity_truncation, exception_truncation)
+        for base in ("set", "preord", "pos", "simp(2)", "qchain(2)")
+        for sorts, arity_sets in ((S, one), (S2, two))
+        for counts in arity_sets
+    ]
+    for name in SATURATING:
+        T = fixture_theory(name)
+        sorts = T.signature.sorts
+        arities = [Arity.of(sorts, {sorts.sorts[0]: k} if k else {}) for k in range(3)]
+        digests += [truncation_digest(monad_from_theory(T, arities[:k])) for k in (2, 3)]
+    assert len(digests) == 118
+    digest = hashlib.sha256("\n".join(digests).encode()).hexdigest()
+    assert digest == "785e0eb3c707ff2cdaa9942c6079215794003281f28cdb9cf19143baa672f1ec"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from enrvar import relcore
-from enrvar.budget import BudgetExceeded
+from enrvar.budget import Budget, BudgetExceeded
 from enrvar.relcore import (
     EQ,
     LE,
@@ -344,6 +344,14 @@ class TestEnumerateMorphisms:
 
     def test_discrete_source_is_unconstrained(self, discrete2, chain3):
         assert len(enumerate_morphisms(discrete2, chain3)) == len(chain3.carrier) ** 2
+
+    def test_budget_used_is_pinned(self):
+        # one unit per assignment: the 81 pairs of pos models on at most
+        # three elements have 485 morphisms, found for 811 units
+        models = models_up_to(POS, 3)
+        bgt = Budget()
+        found = sum(len(enumerate_morphisms(X, Y, bgt)) for X, Y in itertools.product(models, repeat=2))
+        assert (len(models), found, bgt.used) == (9, 485, 811)
 
     def test_agrees_with_brute_filter(self):
         rng = random.Random(5)
