@@ -83,21 +83,22 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
             print(line)
 
 
-def _models_of(tf: TheoryFile, name: str | None) -> list[tuple[str, object]]:
+def _blocks(blocks: dict, name: str | None, noun: str, keyword: str) -> list[tuple[str, object]]:
+    """The block called `name`, or every block of the kind in file order."""
     if name is not None:
-        if name not in tf.models:
-            raise DslError(f"no model named {name!r} in the file")
-        return [(name, tf.models[name])]
-    if not tf.models:
-        raise DslError("the file declares no model blocks")
-    return [(n, tf.models[n]) for kind, n in tf.order if kind == "model"]
+        if name not in blocks:
+            raise DslError(f"no {noun} named {name!r} in the file")
+        return [(name, blocks[name])]
+    if not blocks:
+        raise DslError(f"the file declares no {keyword} blocks")
+    return list(blocks.items())
 
 
 def cmd_check_model(args) -> int:
     tf = _load_file(args.file)
     failures = []
     rows = []
-    for name, X in _models_of(tf, args.model):
+    for name, X in _blocks(tf.models, args.model, "model", "model"):
         T = _resolve_base(args.theory, tf, name)
         ok = is_model(X, T)
         rows.append(f"{name}: {'model' if ok else 'NOT a model'} of {T.name}")
@@ -115,7 +116,7 @@ def cmd_free_model(args) -> int:
     tf = _load_file(args.file)
     payload = {"schema": "enrvar/free-model@1", "models": {}}
     lines = []
-    for name, X in _models_of(tf, args.model):
+    for name, X in _blocks(tf.models, args.model, "model", "model"):
         T = _resolve_base(args.theory, tf, name)
         model, unit = chase(X, T)
         payload["models"][name] = {
@@ -165,16 +166,10 @@ def cmd_exp(args) -> int:
 
 def cmd_check_algebra(args) -> int:
     tf = _load_file(args.file)
-    names = [args.algebra] if args.algebra else list(tf.algebras)
-    if not names:
-        raise DslError("the file declares no algebra blocks")
     failures = []
     lines = []
     payload = {"schema": "enrvar/check-algebra@1", "algebras": {}}
-    for name in names:
-        if name not in tf.algebras:
-            raise DslError(f"no algebra named {name!r} in the file")
-        A = tf.algebras[name]
+    for name, A in _blocks(tf.algebras, args.algebra, "algebra", "algebra"):
         T = tf.theories[tf.algebra_theories[name]]
         report = validate_algebra(A)
         holds = report.ok and satisfies_theory(A, T)
@@ -266,15 +261,10 @@ def cmd_verify_equiv(args) -> int:
 
 def cmd_check_monad(args) -> int:
     tf = _load_file(args.file)
-    names = [args.monad] if args.monad else list(tf.monads)
-    if not names:
-        raise DslError("the file declares no monad blocks")
     failures = []
     lines = []
-    for name in names:
-        if name not in tf.monads:
-            raise DslError(f"no monad named {name!r} in the file")
-        report = check_relative_monad(tf.monads[name])
+    for name, M in _blocks(tf.monads, args.monad, "monad", "monad"):
+        report = check_relative_monad(M)
         lines.append(f"{name}: {'laws hold' if report.ok else 'laws FAIL'}")
         lines.extend(f"  - {v}" for v in report.violations)
         if not report.ok:
@@ -289,10 +279,9 @@ def cmd_check_monad(args) -> int:
 
 def cmd_theory_of_monad(args) -> int:
     tf = _load_file(args.file)
-    names = [args.monad] if args.monad else list(tf.monads)
-    if len(names) != 1:
+    if args.monad is None and len(tf.monads) != 1:
         raise DslError("pass --monad to pick one monad block")
-    M = tf.monads[names[0]]
+    [(_, M)] = _blocks(tf.monads, args.monad, "monad", "monad")
     T = theory_from_monad(M)
     result = TheoryFile()
     name = T.name or "induced"
@@ -348,10 +337,9 @@ def cmd_free_algebra(args) -> int:
 
 def cmd_verify_presentation(args) -> int:
     tf = _load_file(args.file)
-    names = [args.monad] if args.monad else list(tf.monads)
-    if len(names) != 1:
+    if args.monad is None and len(tf.monads) != 1:
         raise DslError("pass --monad to pick one monad block")
-    M = tf.monads[names[0]]
+    [(_, M)] = _blocks(tf.monads, args.monad, "monad", "monad")
     law_report = check_relative_monad(M)
     if not law_report.ok:
         _emit(
@@ -375,15 +363,10 @@ def cmd_verify_presentation(args) -> int:
 
 def cmd_free_cpo(args) -> int:
     tf = _load_file(args.file)
-    names = [args.present] if args.present else list(tf.presentations)
-    if not names:
-        raise DslError("the file declares no present blocks")
     payload = {"schema": "enrvar/free-cpo@1", "results": {}}
     lines = []
-    for name in names:
-        if name not in tf.presentations:
-            raise DslError(f"no presentation named {name!r} in the file")
-        poset, unit = free_omega_cpo(tf.presentations[name])
+    for name, P in _blocks(tf.presentations, args.present, "presentation", "present"):
+        poset, unit = free_omega_cpo(P)
         payload["results"][name] = {
             "poset": structure_to_json(poset),
             "unit": {render_id(k): render_id(v) for k, v in unit.items()},

@@ -210,6 +210,27 @@ class _Parser:
         while self.peek().kind == "SEMI":
             self.next()
 
+    def clauses(self, what: str):
+        """Expect `{`; yield (word, token) for each clause up to `}`, with `;`
+        between clauses skipped."""
+        self.expect("LBRACE")
+        while not self.eat_rbrace():
+            tok = self.peek()
+            yield self.ident(what), tok
+            self.skip_semis()
+
+    def items(self, opening: str, closing: str, read) -> list:
+        """`read()` for each item between the two tokens, with `,` and `;`
+        between items skipped."""
+        self.expect(opening)
+        out = []
+        while self.peek().kind != closing:
+            out.append(read())
+            while self.peek().kind in ("SEMI", "COMMA"):
+                self.next()
+        self.next()
+        return out
+
     def ident(self, what: str = "identifier") -> str:
         return self.expect("IDENT", what).value
 
@@ -289,33 +310,29 @@ class _Parser:
         self.fail(f"unknown base theory {word!r}", t)
 
     def parse_lattice(self) -> HeytingAlgebra:
-        self.expect("LBRACE")
         elems: tuple[str, ...] = ()
         meet: list[tuple[str, str, str]] = []
         join: list[tuple[str, str, str]] = []
         top = None
-        while not self.eat_rbrace():
-            word = self.ident("lattice clause")
+
+        def entry():
+            self.expect("LPAREN")
+            a = self.elem_id()
+            self.expect("COMMA")
+            b = self.elem_id()
+            self.expect("RPAREN")
+            self.expect("ARROW")
+            return a, b, self.elem_id()
+
+        for word, _ in self.clauses("lattice clause"):
             if word == "elems":
                 elems = tuple(self.parse_id_list())
             elif word in ("meet", "join"):
-                target = meet if word == "meet" else join
-                self.expect("LBRACE")
-                while not self.eat_rbrace():
-                    self.expect("LPAREN")
-                    a = self.elem_id()
-                    self.expect("COMMA")
-                    b = self.elem_id()
-                    self.expect("RPAREN")
-                    self.expect("ARROW")
-                    c = self.elem_id()
-                    target.append((a, b, c))
-                    self.skip_separators()
+                (meet if word == "meet" else join).extend(self.items("LBRACE", "RBRACE", entry))
             elif word == "top":
                 top = self.elem_id()
             else:
                 self.fail(f"unknown lattice clause {word!r}")
-            self.skip_semis()
         if top is None:
             self.fail("lattice needs a top element")
         try:
@@ -329,32 +346,16 @@ class _Parser:
             return True
         return False
 
-    def skip_separators(self):
-        while self.peek().kind in ("SEMI", "COMMA"):
-            self.next()
-
     def parse_id_list(self) -> list[str]:
-        return [t.value for t in self.parse_id_toks()]
-
-    def parse_id_toks(self) -> list[Token]:
-        self.expect("LBRACK")
-        out = []
-        while self.peek().kind != "RBRACK":
-            out.append(self.elem_tok())
-            self.skip_separators()
-        self.next()
-        return out
+        return self.items("LBRACK", "RBRACK", self.elem_id)
 
     def parse_structure_body(self, base: HornTheory, name: str) -> FinStructure:
         """elems [...] ; (reflexive)? ; (edge ...)*"""
-        self.expect("LBRACE")
         carrier: list[str] = []
         edges: set = set()
         reflexive = False
         arity = base.signature.arity
-        while not self.eat_rbrace():
-            t = self.peek()
-            word = self.ident("model clause")
+        for word, t in self.clauses("model clause"):
             if word == "elems":
                 carrier = self.parse_id_list()
             elif word == "reflexive":
@@ -372,12 +373,7 @@ class _Parser:
                     rel = "~" + self.ident("lattice element")
                     edges.add((rel, (first, self.elem_id())))
                 elif op.kind == "LPAREN":
-                    self.next()
-                    args = []
-                    while self.peek().kind != "RPAREN":
-                        args.append(self.elem_id())
-                        self.skip_separators()
-                    self.next()
+                    args = self.items("LPAREN", "RPAREN", self.elem_id)
                     if first not in arity:
                         self.fail(f"unknown relation {first!r}", nxt)
                     edges.add((first, tuple(args)))
@@ -385,7 +381,6 @@ class _Parser:
                     self.fail("expected an edge", op)
             else:
                 self.fail(f"unknown model clause {word!r}", t)
-            self.skip_semis()
         if reflexive:
             for rel, ar in base.signature.symbols:
                 for x in carrier:
@@ -410,15 +405,12 @@ class _Parser:
     def parse_theory(self, tf: TheoryFile):
         self.expect("IDENT")  # 'theory'
         name = self.ident("theory name")
-        self.expect("LBRACE")
         base: HornTheory | None = None
         sorts: list[str] = []
         params: dict[str, FinStructure] = {}
         ops: list[tuple] = []  # (name, inputs list, output, param name | None, token)
         laws: list[tuple] = []  # ('eq'|'rel'|'chain', payload..., token)
-        while not self.eat_rbrace():
-            tok = self.peek()
-            word = self.ident("theory clause")
+        for word, tok in self.clauses("theory clause"):
             if word == "base":
                 base = self.parse_basespec()
             elif word == "sort":
@@ -465,7 +457,6 @@ class _Parser:
                     laws.append(("chain", label, ctx) + self.parse_chainspec() + (tok,))
             else:
                 self.fail(f"unknown theory clause {word!r}", tok)
-            self.skip_semis()
         if base is None:
             self.fail("theory is missing its base clause")
         try:
@@ -474,16 +465,12 @@ class _Parser:
             raise DslError(f"theory {name!r}: {e}") from e
 
     def parse_context(self) -> list[tuple[str, str]]:
-        self.expect("LBRACK")
-        entries = []
-        while self.peek().kind != "RBRACK":
+        def entry():
             v = self.ident("variable")
             self.expect("COLON")
-            s = self.ident("sort")
-            entries.append((v, s))
-            self.skip_separators()
-        self.next()
-        return entries
+            return v, self.ident("sort")
+
+        return self.items("LBRACK", "RBRACK", entry)
 
     # raw term trees: (name, param-or-None, args tuple) with vars resolved later
     def parse_term(self, depth: int = 0):
@@ -499,12 +486,7 @@ class _Parser:
             param = self.elem_id()
         args = None
         if self.peek().kind == "LPAREN":
-            self.next()
-            args = []
-            while self.peek().kind != "RPAREN":
-                args.append(self.parse_term(depth + 1))
-                self.skip_separators()
-            self.next()
+            args = self.items("LPAREN", "RPAREN", lambda: self.parse_term(depth + 1))
         return (name, param, args, t)
 
     def parse_atom(self):
@@ -512,13 +494,7 @@ class _Parser:
         if t.kind == "TILDE":
             self.next()
             rel = "~" + self.ident("lattice element")
-            self.expect("LPAREN")
-            args = []
-            while self.peek().kind != "RPAREN":
-                args.append(self.parse_term())
-                self.skip_separators()
-            self.next()
-            return (rel, args)
+            return (rel, self.items("LPAREN", "RPAREN", self.parse_term))
         first = self.parse_term()
         nxt = self.peek()
         if nxt.kind == "LEQ":
@@ -533,12 +509,7 @@ class _Parser:
     def parse_chainspec(self):
         word = self.ident("chain form (sup or iter)")
         if word == "sup":
-            self.expect("LBRACK")
-            terms = []
-            while self.peek().kind != "RBRACK":
-                terms.append(self.parse_term())
-                self.skip_separators()
-            self.next()
+            terms = self.items("LBRACK", "RBRACK", self.parse_term)
             self.expect("EQEQ")
             limit = self.parse_term()
             return ("sup", terms, limit)
@@ -653,12 +624,15 @@ class _Parser:
             self.fail(f"unknown theory {tname!r}")
         theory = tf.theories[tname]
         sig = theory_parts(theory)[0]
-        self.expect("LBRACE")
         carrier: dict[str, FinStructure] = {}
         tables: dict[str, dict] = {}
-        while not self.eat_rbrace():
-            tok = self.peek()
-            word = self.ident("algebra clause")
+
+        def entry():
+            point = tuple(self.items("LPAREN", "RPAREN", self.elem_id))
+            self.expect("ARROW")
+            return point, self.elem_id()
+
+        for word, tok in self.clauses("algebra clause"):
             if word == "carrier":
                 s = self.ident("sort")
                 self.expect("ARROW") if self.peek().kind == "ARROW" else self.expect(
@@ -674,22 +648,9 @@ class _Parser:
                 if self.peek().kind == "AT":
                     self.next()
                     symbol = f"{opname}@{self.elem_id()}"
-                self.expect("LBRACE")
-                table = {}
-                while not self.eat_rbrace():
-                    self.expect("LPAREN")
-                    point = []
-                    while self.peek().kind != "RPAREN":
-                        point.append(self.elem_id())
-                        self.skip_separators()
-                    self.next()
-                    self.expect("ARROW")
-                    table[tuple(point)] = self.elem_id()
-                    self.skip_separators()
-                tables[symbol] = table
+                tables[symbol] = dict(self.items("LBRACE", "RBRACE", entry))
             else:
                 self.fail(f"unknown algebra clause {word!r}", tok)
-            self.skip_semis()
         for s in sig.sorts.sorts:
             if s not in carrier:
                 self.fail(f"algebra {name!r} is missing carrier for sort {s}")
@@ -700,7 +661,6 @@ class _Parser:
     def parse_monad(self, tf: TheoryFile):
         self.expect("IDENT")  # 'monad'
         name = self.ident("monad name")
-        self.expect("LBRACE")
         base: HornTheory | None = None
         sorts: list[str] = []
         arities: dict[str, Arity] = {}
@@ -709,9 +669,31 @@ class _Parser:
         units: dict[str, dict] = {}
         exts: list[tuple] = []
         sort_toks: list[Token] = []  # sorts named by object, unit and ext blocks
-        while not self.eat_rbrace():
-            tok = self.peek()
-            word = self.ident("monad clause")
+
+        def count():
+            stok = self.peek()
+            s = self.ident("sort")
+            if s not in sorts:
+                self.fail(f"arity uses unknown sort {s!r}", stok)
+            self.expect("COLON")
+            return s, self.int_lit()
+
+        def sort_entries(opening: str, closing: str, read) -> dict:
+            # `sort: read()` entries; their sorts are checked once the block ends
+            def entry():
+                sort_toks.append(self.peek())
+                s = self.ident("sort")
+                self.expect("COLON")
+                return s, read()
+
+            return dict(self.items(opening, closing, entry))
+
+        def ext_entry():
+            src_elem = self.elem_id()
+            self.expect("ARROW")
+            return src_elem, self.elem_tok()
+
+        for word, tok in self.clauses("monad clause"):
             if word == "base":
                 base = self.parse_basespec()
             elif word == "sort":
@@ -725,16 +707,7 @@ class _Parser:
                 if not sorts:
                     self.fail("an arity clause needs a preceding sort clause", tok)
                 aname = self.ident("arity name")
-                self.expect("LBRACE")
-                counts: dict[str, int] = {}
-                while not self.eat_rbrace():
-                    stok = self.peek()
-                    s = self.ident("sort")
-                    if s not in sorts:
-                        self.fail(f"arity uses unknown sort {s!r}", stok)
-                    self.expect("COLON")
-                    counts[s] = self.int_lit()
-                    self.skip_separators()
+                counts = dict(self.items("LBRACE", "RBRACE", count))
                 arities[aname] = Arity.of(SortSet(tuple(sorts)), counts)
                 arity_order.append(aname)
             elif word == "object":
@@ -753,47 +726,20 @@ class _Parser:
                 objects[aname] = per_sort
             elif word == "unit":
                 aname = self.ident("arity name")
-                self.expect("LBRACE")
-                blocks: dict[str, list[Token]] = {}
-                while not self.eat_rbrace():
-                    sort_toks.append(self.peek())
-                    s = self.ident("sort")
-                    self.expect("COLON")
-                    blocks[s] = self.parse_id_toks()
-                    self.skip_separators()
-                units[aname] = blocks
+                units[aname] = sort_entries(
+                    "LBRACE", "RBRACE", lambda: self.items("LBRACK", "RBRACK", self.elem_tok)
+                )
             elif word == "ext":
                 src = self.ident("arity name")
                 self.expect("ARROW")
                 dst = self.ident("arity name")
-                self.expect("LBRACK")
-                kblocks: dict[str, list[str]] = {}
-                while self.peek().kind != "RBRACK":
-                    sort_toks.append(self.peek())
-                    s = self.ident("sort")
-                    self.expect("COLON")
-                    kblocks[s] = self.parse_id_list()
-                    self.skip_separators()
-                self.next()
-                self.expect("LBRACE")
-                tables: dict[str, dict[str, Token]] = {}
-                while not self.eat_rbrace():
-                    sort_toks.append(self.peek())
-                    s = self.ident("sort")
-                    self.expect("COLON")
-                    self.expect("LBRACE")
-                    table = {}
-                    while not self.eat_rbrace():
-                        src_elem = self.elem_id()
-                        self.expect("ARROW")
-                        table[src_elem] = self.elem_tok()
-                        self.skip_separators()
-                    tables[s] = table
-                    self.skip_separators()
+                kblocks = sort_entries("LBRACK", "RBRACK", self.parse_id_list)
+                tables = sort_entries(
+                    "LBRACE", "RBRACE", lambda: dict(self.items("LBRACE", "RBRACE", ext_entry))
+                )
                 exts.append((src, dst, kblocks, tables, tok))
             else:
                 self.fail(f"unknown monad clause {word!r}", tok)
-            self.skip_semis()
         if base is None or not sorts:
             self.fail(f"monad {name!r} needs base and sort clauses")
         for stok in sort_toks:
@@ -839,13 +785,10 @@ class _Parser:
     def parse_present(self, tf: TheoryFile):
         self.expect("IDENT")  # 'present'
         name = self.ident("presentation name")
-        self.expect("LBRACE")
         carrier: list[str] = []
         edges: set = set()
         covers: list[tuple[str, tuple[str, ...]]] = []
-        while not self.eat_rbrace():
-            tok = self.peek()
-            word = self.ident("presentation clause")
+        for word, tok in self.clauses("presentation clause"):
             if word == "elems":
                 carrier = self.parse_id_list()
             elif word == "le":
@@ -858,7 +801,6 @@ class _Parser:
                 covers.append((p, tuple(self.parse_id_list())))
             else:
                 self.fail(f"unknown presentation clause {word!r}", tok)
-            self.skip_semis()
         preord = builtin_theory("preord")
         from .relcore import chase
 

@@ -167,13 +167,11 @@ def model_families(
     T: HornTheory,
     sorts,
     max_size: int,
-    up_to_iso: bool = True,
-    min_size: int = 0,
     budget: Budget | int | None = None,
 ) -> list[dict[str, FinStructure]]:
     """Sort-indexed families of models, one structure per sort, enumerated
     componentwise up to isomorphism."""
-    pool = models_up_to(T, max_size, up_to_iso, min_size, budget)
+    pool = models_up_to(T, max_size, budget=budget)
     return [
         dict(zip(sorts.sorts, combo))
         for combo in itertools.product(pool, repeat=len(sorts.sorts))

@@ -762,10 +762,10 @@ def _pointed_truncation(
     is the generators, and the extension of k sends them along k and the
     error point to itself."""
     arities = tuple(arities)
+    jobjs = {J: arity_object(base, sorts, J) for J in arities}
     obj: dict[Arity, dict[str, FinStructure]] = {}
     unit: dict[Arity, KRep] = {}
-    for J in arities:
-        jobj = arity_object(base, sorts, J)
+    for J, jobj in jobjs.items():
         unit[J] = tuple(jobj[s].carrier for s in sorts.sorts)
         obj[J] = jobj if error is None else {
             s: chase(FinStructure(base.signature, X.carrier + (error,), frozenset()), base).model
@@ -778,7 +778,9 @@ def _pointed_truncation(
             ext[(J, K, k)] = {
                 s: {**dict(zip(gens, block)), **point} for s, gens, block in zip(sorts.sorts, unit[J], k)
             }
-    return RelMonadData(base, sorts, arities, obj, unit, ext, name=name)
+    M = RelMonadData(base, sorts, arities, obj, unit, ext, name=name)
+    M.arity_objects = jobjs  # already chased: the cached property need not chase them again
+    return M
 
 
 def identity_truncation(base: HornTheory, sorts: SortSet, arities: Iterable[Arity]) -> RelMonadData:

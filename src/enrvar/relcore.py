@@ -81,13 +81,21 @@ class FinStructure:
         members = set(self.carrier)
         arity = self.signature.arity
         for rel, tup in self.edges:
+            if rel not in arity or len(tup) != arity[rel] or not members.issuperset(tup):
+                raise StructureError(self._edge_fault(members))
+
+    def _edge_fault(self, members: set) -> str:
+        # the fault of the least faulty edge by repr, so that the message does
+        # not depend on the iteration order of the edge set
+        arity = self.signature.arity
+        for rel, tup in sorted(self.edges, key=repr):
             if rel not in arity:
-                raise StructureError(f"edge uses unknown relation {rel!r}")
+                return f"edge uses unknown relation {rel!r}"
             if len(tup) != arity[rel]:
-                raise StructureError(f"edge arity mismatch for {rel!r}")
+                return f"edge arity mismatch for {rel!r}"
             for x in tup:
                 if x not in members:
-                    raise StructureError(f"edge mentions {x!r} outside the carrier")
+                    return f"edge mentions {x!r} outside the carrier"
 
     def __hash__(self) -> int:
         return self._hash

@@ -111,7 +111,7 @@ class Var:
 
     def __str__(self) -> str:
         # canonical-context variable names; contexts with other names render
-        # through render_term instead
+        # through dsl._fmt_term instead
         return f"v{self.index + 1}"
 
 
@@ -315,15 +315,6 @@ def extended_context(ctx: Context, sort: str) -> Context:
     return Context(ctx.entries + ((hole, sort),))
 
 
-def term_vars(t: Term) -> set[int]:
-    if isinstance(t, Var):
-        return {t.index}
-    out: set[int] = set()
-    for a in t.args:
-        out |= term_vars(a)
-    return out
-
-
 def term_ops(t: Term) -> set[str]:
     if isinstance(t, Var):
         return set()
@@ -339,21 +330,6 @@ def term_depth(t: Term) -> int:
     if not t.args:
         return 1
     return 1 + max(term_depth(a) for a in t.args)
-
-
-def render_term(t: Term, ctx: Context) -> str:
-    if isinstance(t, Var):
-        return ctx.entries[t.index][0]
-    if not t.args:
-        return t.op
-    return f"{t.op}({', '.join(render_term(a, ctx) for a in t.args)})"
-
-
-def term_key(t: Term):
-    """Deterministic ordering key used when terms serve as carrier element ids."""
-    if isinstance(t, Var):
-        return (0, t.index)
-    return (1, t.op, len(t.args), tuple(term_key(a) for a in t.args))
 
 
 def all_terms(sig: ClassicalSignature, ctx: Context, sort: str, depth: int) -> list[Term]:

@@ -12,7 +12,6 @@ from enrvar.algebra import (
     EnrichedTheory,
     OpDecl,
     classical_symbol,
-    context_power,
     enumerate_algebras,
     hom_family,
     hom_object,

@@ -147,6 +147,30 @@ class TestCommands:
         code, _, _ = run(capsys, "check-theory", str(f))
         assert code == 0
 
+    @pytest.mark.parametrize("command", ["theory-of-monad", "verify-presentation"])
+    def test_unknown_monad_is_two(self, capsys, command):
+        code, out, err = run(capsys, command, str(FIXTURES / "exception_monad.mnd"), "--monad", "nosuch")
+        assert code == 2
+        assert out == ""
+        assert err == "error: no monad named 'nosuch' in the file\n"
+
+    # an empty name selects no block, as any other name that the file lacks
+    @pytest.mark.parametrize(
+        "command, option, fixture, noun",
+        [
+            ("check-model", "--model", "poset3.struct", "model"),
+            ("check-algebra", "--algebra", "maxmon.alg", "algebra"),
+            ("check-monad", "--monad", "exception_monad.mnd", "monad"),
+            ("theory-of-monad", "--monad", "exception_monad.mnd", "monad"),
+            ("free-cpo", "--present", "presentations.cpo", "presentation"),
+        ],
+    )
+    def test_empty_block_name_is_two(self, capsys, command, option, fixture, noun):
+        code, out, err = run(capsys, command, str(FIXTURES / fixture), option, "")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: no {noun} named '' in the file\n"
+
     def test_free_algebra_semilattice(self, capsys):
         code, out, _ = run(
             capsys,

@@ -7,7 +7,6 @@ import pytest
 from enrvar.algebra import Algebra, ordinary_signature
 from enrvar.cpo import (
     CpoPresentation,
-    IterationNotStabilized,
     cover_holds,
     free_omega_cpo,
     is_presentation_morphism,
@@ -28,7 +27,6 @@ from enrvar.syntax import (
     Arity,
     ChainRelation,
     Context,
-    Equation,
     ExplicitChain,
     IteratedChain,
     SortSet,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import signal
 import time
@@ -96,6 +97,7 @@ theory broken {
         [
             ("theory t {\n  base simp(0)\n  sort A\n}", 2, 13),
             ("theory t {\n  base qchain(0)\n  sort A\n}", 2, 15),
+            ("theory t {\n  base qcat { elems [a]; bogus }\n  sort A\n}", 2, 32),
             ("monad m {\n  base set\n  arity J0 { }\n  sort A\n}", 3, 3),
             ("monad m {\n  base set\n  sort A A\n}", 3, 10),
             ("monad m {\n  base set\n  sort A\n  arity J { B: 1 }\n}", 4, 13),
@@ -119,7 +121,7 @@ theory broken {
             ),
         ],
         ids=[
-            "simp-zero", "qchain-zero", "arity-before-sort", "duplicate-sort",
+            "simp-zero", "qchain-zero", "lattice-clause", "arity-before-sort", "duplicate-sort",
             "unknown-sort", "object-before-base", "object-undeclared-sort",
             "unit-outside-object", "ext-outside-target",
         ],
@@ -225,6 +227,52 @@ class TestFuzz:
         finally:
             if timed:
                 signal.signal(signal.SIGALRM, previous)
+
+
+# Every fixture and character-level mutations of them, one each: a deleted
+# span, an inserted punctuation token or keyword, or a truncation.  The digest
+# pins every parse outcome, the printed text or the DslError's message and
+# position, and must not depend on the hash seed.
+MUTATION_TOKENS = ["{", "}", "[", "]", "(", ")", ",", ";", ":", "->", "==", "<=", "<|", "@", "~"] + [
+    f" {word} "
+    for word in (
+        "theory model algebra monad present base sort param op eq rel chain elems edge "
+        "reflexive carrier arity object unit ext le cover meet join top sup iter"
+    ).split()
+]
+MUTATION_SEED = 20261022
+MUTATIONS = 4000
+MUTATED_CORPUS_SHA256 = "51f0b01ca1d774f4bc62313248abbde48f520a6b2b81e975af1183abe402393e"
+
+
+def mutated_corpus(seed: int, count: int):
+    rng = random.Random(seed)
+    sources = [path.read_text() for path in corpus()]
+    yield from sources
+    for _ in range(count):
+        text = rng.choice(sources)
+        i = rng.randrange(len(text) + 1)
+        kind = rng.randrange(3)
+        if kind == 0:
+            yield text[:i] + text[i + rng.randint(1, 12):]
+        elif kind == 1:
+            yield text[:i] + rng.choice(MUTATION_TOKENS) + text[i:]
+        else:
+            yield text[:i]
+
+
+def parse_outcome(text: str) -> str:
+    try:
+        return print_theory(parse_theory(text))
+    except DslError as e:
+        return repr((e.message, e.line, e.col))
+
+
+def test_mutated_corpus_is_pinned():
+    digest = hashlib.sha256()
+    for text in mutated_corpus(MUTATION_SEED, MUTATIONS):
+        digest.update(parse_outcome(text).encode() + b"\0")
+    assert digest.hexdigest() == MUTATED_CORPUS_SHA256
 
 
 class TestTranslatedTheoriesRoundTrip:

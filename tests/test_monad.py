@@ -103,6 +103,18 @@ class TestLawChecker:
         assert algebras and all(is_tj_algebra(A, M) for A in algebras)
         assert chased == []
 
+    @pytest.mark.parametrize("make", [identity_truncation, exception_truncation])
+    @pytest.mark.parametrize("base", ["set", "pos"])
+    def test_builtin_truncations_keep_their_chased_arity_objects(self, monkeypatch, make, base):
+        T = builtin_theory(base)
+        M = make(T, S, ARITIES)
+        chased = []
+        monkeypatch.setattr(monad, "arity_object", lambda *args: chased.append(args))
+        objects = M.arity_objects
+        assert chased == []
+        monkeypatch.undo()
+        assert objects == {J: arity_object(T, S, J) for J in ARITIES}
+
     def test_corrupt_extension_is_witnessed(self):
         M = exception_truncation(SET, S, ARITIES)
         J1 = ARITIES[1]
